@@ -352,45 +352,6 @@ BENCHMARK_CAPTURE(BM_SosGramPrune, pruned, true)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// ---- SDP warm starts. Re-solving a 1%-perturbed instance of a converged
-// Gram-block problem, cold versus seeded from the original solution
-// (make_warm_start). The warm capture also records how many interior-point
-// iterations the seed saves against the cold solve of the *same* perturbed
-// problem (`iters_saved`), which the perf gate pins > 0.
-void BM_SdpWarmStart(benchmark::State& state, bool warm) {
-  const std::size_t n = 32;
-  Rng rng(24);
-  const SdpProblem base = random_gram_sdp(n, rng);
-  const SdpSolution base_sol = solve_sdp(base);
-  if (base_sol.status != SdpStatus::kConverged) {
-    state.SkipWithError("base Gram-block solve did not converge");
-    return;
-  }
-  const SdpWarmStart seed = make_warm_start(base_sol);
-  SdpProblem p = base;
-  Rng perturb(25);
-  for (SdpConstraint& c : p.constraints) {
-    const double f = 1.0 + 0.01 * perturb.normal();
-    for (SdpEntry& e : c.entries) e.value *= f;
-    c.rhs *= f;  // scales with the entry: still feasible near X = I
-  }
-  const int cold_iters = solve_sdp(p).iterations;
-  double iters = 0.0;
-  for (auto _ : state) {
-    const SdpSolution sol = solve_sdp(p, {}, warm ? &seed : nullptr);
-    benchmark::DoNotOptimize(&sol);
-    iters += sol.iterations;
-  }
-  const double mean_iters =
-      iters / static_cast<double>(std::max<std::int64_t>(
-                  1, static_cast<std::int64_t>(state.iterations())));
-  state.counters["iterations"] = mean_iters;
-  if (warm) state.counters["iters_saved"] = cold_iters - mean_iters;
-}
-BENCHMARK_CAPTURE(BM_SdpWarmStart, cold, false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SdpWarmStart, warm, true)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace scs
 

@@ -106,13 +106,9 @@ int print_status(const std::string& text, bool raw) {
   const std::uint64_t cap = u64("queue_capacity");
   const bool draining =
       doc.find("draining") != nullptr && doc.find("draining")->bool_or(false);
-  std::cout << "instance  "
-            << (doc.find("instance") ? doc.find("instance")->string_or("?")
-                                     : "?")
+  std::cout << "queue     " << depth << "/" << cap << ", " << u64("in_flight")
+            << " in flight, " << u64("pending") << " pending sweep"
             << (draining ? "  [draining]" : "") << "\n";
-  std::cout << "queue     " << depth << "/" << cap << " across "
-            << u64("shards") << " shard(s), " << u64("in_flight")
-            << " in flight, " << u64("pending") << " pending sweep\n";
   std::cout << "traffic   submitted " << counter_of(doc, "submitted")
             << " | cold " << counter_of(doc, "cold_runs") << " | warm "
             << counter_of(doc, "warm_hits") << " | dup "

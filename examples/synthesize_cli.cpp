@@ -73,9 +73,9 @@ void print_usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--cache-dir <dir>] [--no-cache] [--trace <file>]\n"
             << "       [--metrics <file>] [--ledger <file>] [--fast]\n"
-            << "       [--seed <n>] [--dims <d1,d2,...>] "
-            << "<C1..C10|gen:<index>> <output-file> "
-            << "[episodes]\n       " << argv0 << " --load <file>\n";
+            << "       [--seed <n>] [--dims <d1,d2,...>] [--deadline <s>]\n"
+            << "       <C1..C10|gen:<index>> <output-file> [episodes]\n"
+            << "       " << argv0 << " --load <file>\n";
 }
 
 bool parse_dims(const std::string& text, std::vector<std::size_t>& out) {

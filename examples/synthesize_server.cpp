@@ -1,6 +1,6 @@
 // Synthesis-as-a-service daemon: watch a spool directory for JSONL job
 // requests, dedupe them through the stage-cache key, run cold jobs on a
-// bounded sharded priority queue, and answer repeats from memory.
+// bounded priority queue, and answer repeats from memory.
 //
 //   ./synthesize_server --spool /tmp/scs-spool --workers 2
 //       --cache-dir /tmp/scs-cache --ledger runs.jsonl
@@ -31,8 +31,6 @@
 //                     request's lifecycle (spool ingest, queue wait, solve
 //                     incl. race arms, cancellation, result write) carries
 //                     its id as args.rid; written at drain
-//   --instance <name> label stamped into status.json / the ledger daemon
-//                     summary (default: the spool directory name)
 //   --no-metrics      disable the metrics registry (on by default here:
 //                     the daemon is the thing the exposition files
 //                     observe; status.json latency quantiles and
@@ -40,9 +38,7 @@
 //
 // Live exposition: every poll refreshes <spool>/status.json (schema 2 --
 // queue depth/capacity, in-flight, counters, latency quantiles) and
-// <spool>/metrics.txt (Prometheus text). At drain the daemon appends a
-// "serve_daemon" summary record to the ledger -- the per-instance input
-// for `report_cli fleet`.
+// <spool>/metrics.txt (Prometheus text).
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -67,7 +63,7 @@ void print_usage(const char* argv0) {
             << " --spool <dir> [--workers <n>] [--queue-cap <n>]\n"
             << "       [--cache-dir <dir> | --no-cache] [--ledger <file>]\n"
             << "       [--poll-ms <n>] [--max-jobs <n>] [--idle-exit <s>]\n"
-            << "       [--trace <file>] [--instance <name>] [--no-metrics]\n";
+            << "       [--trace <file>] [--no-metrics]\n";
 }
 
 }  // namespace
@@ -80,7 +76,6 @@ int main(int argc, char** argv) {
   std::uint64_t max_jobs = 0;
   double idle_exit_seconds = 0.0;
   std::string trace_path;
-  std::string instance;
   bool metrics_on = true;
 
   for (int i = 1; i < argc; ++i) {
@@ -114,8 +109,6 @@ int main(int argc, char** argv) {
       idle_exit_seconds = std::atof(next("a duration"));
     } else if (arg == "--trace") {
       trace_path = next("a file");
-    } else if (arg == "--instance") {
-      instance = next("a name");
     } else if (arg == "--no-metrics") {
       metrics_on = false;
     } else {
@@ -146,7 +139,6 @@ int main(int argc, char** argv) {
 
   SynthesisServer server(config);
   SpoolRunner runner(server, layout);
-  if (!instance.empty()) runner.set_instance(instance);
   std::cout << "synthesize_server: watching " << layout.inbox() << " ("
             << config.workers << " workers, queue capacity "
             << config.queue_capacity << ")\n";
@@ -173,7 +165,6 @@ int main(int argc, char** argv) {
             << (g_stop != 0 ? "signal" : "requested") << ")\n";
   server.drain();
   runner.poll_once();  // final sweep + status
-  runner.append_daemon_summary();
   if (!trace_path.empty() && trace_write(trace_path))
     std::cout << "synthesize_server: trace written to " << trace_path << "\n";
   std::cout << "synthesize_server: done -- " << server.submitted()

@@ -25,17 +25,12 @@
 #                            # perturbed-certificate check
 #   scripts/ci.sh serve      # serving suite: serve-labeled tests under tsan
 #                            # (dedupe races + cancellation) and in Release,
-#                            # then a spool daemon smoke where the second
+#                            # then a traced spool daemon smoke: the second
 #                            # submit of the same request must be answered
-#                            # warm from the dedupe map
-#   scripts/ci.sh fleet      # multi-instance observability: two daemons on
-#                            # separate spools serve mixed cold/warm traffic
-#                            # (incl. a cancelled queued duplicate) with
-#                            # per-request tracing; the traces must carry
-#                            # request-correlated rid args and `report_cli
-#                            # fleet` must merge both ledgers and pass
-#                            # baselines/fleet.json, plus a negative
-#                            # violated-baseline check
+#                            # warm from the dedupe map, a queued job must
+#                            # cancel through its ctl/cancel marker, the
+#                            # trace must carry request-correlated rid args,
+#                            # and status.json / metrics.txt must render
 #   scripts/ci.sh race       # portfolio-racing suite: race-labeled tests
 #                            # under tsan (speculative arms + cancellation
 #                            # must be data-race free) and in Release, then
@@ -152,9 +147,8 @@ run_perf() {
   # bench_obs writes BENCH_obs.json into its cwd and self-checks traced
   # determinism; bench_solvers emits google-benchmark JSON for a small,
   # stable subset (full sweeps stay in the manual bench workflow). The
-  # kernel/pruning/warm-start rows carry counters the baseline pins: SIMD
-  # matmul speedup >= 1.5, Gram block 15 -> 10 under pruning, and at least
-  # one interior-point iteration saved by a warm start.
+  # kernel/pruning rows carry counters the baseline pins: SIMD matmul
+  # speedup >= 1.5 and Gram block 15 -> 10 under pruning.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_obs")
   # bench_serve times a cold submit vs the in-memory warm-hit fast path and
   # self-checks the exactly-one-cold dedupe guarantee; the baseline pins
@@ -167,7 +161,7 @@ run_perf() {
   # the numbers land in the dashboard next to the other suites.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_race")
   ./build/bench/bench_solvers \
-      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_KernelSpeedup_Matmul$|BM_SosGramPrune/(full|pruned)/4$|BM_SdpWarmStart/(cold|warm)$' \
+      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_KernelSpeedup_Matmul$|BM_SosGramPrune/(full|pruned)/4$' \
       --benchmark_format=json \
       --benchmark_out="${tmp}/BENCH_solvers.json" \
       --benchmark_out_format=json > /dev/null
@@ -279,32 +273,49 @@ run_serve() {
   echo "==> Serve-labeled tests in the Release tree"
   cmake --preset default
   cmake --build --preset default -j "${JOBS}" \
-      --target job_context_test serve_test synthesize_server serve_cli
+      --target job_context_test serve_test synthesize_server serve_cli \
+      json_check
   (cd build && ctest -L serve --output-on-failure)
 
-  echo "==> Daemon smoke: spool round trip, second submit answered warm"
+  echo "==> Daemon smoke: warm second submit, queued cancel, traced lifecycle"
   local tmp rc pid
   tmp="$(mktemp -d)"
-  ./build/examples/synthesize_server --spool "${tmp}/spool" --workers 2 \
+  # One worker, so a job submitted behind a busy one is still queued when
+  # its cancel marker lands.
+  ./build/examples/synthesize_server --spool "${tmp}/spool" --workers 1 \
       --cache-dir "${tmp}/cache" --ledger "${tmp}/serve.jsonl" \
-      --poll-ms 50 &
+      --trace "${tmp}/trace.json" --poll-ms 50 &
   pid=$!
   wait_for_spool "${tmp}/spool"
   # Exit 1 (= UNVERIFIED on the shrunken fast budget) is tolerated, as in
-  # the other smokes -- this gate checks the serving counters, never the
+  # the other smokes -- this gate checks the serving path, never the
   # fast-mode verdict. Exit 2+ still fails.
-  rc=0
-  ./build/examples/serve_cli --spool "${tmp}/spool" submit C1 --fast \
-      --episodes 2 --id cold --wait --timeout 300 > /dev/null || rc=$?
-  if [ "${rc}" -gt 1 ]; then
-    echo "cold submit exited with ${rc}" >&2; exit "${rc}"
-  fi
-  rc=0
-  ./build/examples/serve_cli --spool "${tmp}/spool" submit C1 --fast \
-      --episodes 2 --id warm --wait --timeout 60 > /dev/null || rc=$?
-  if [ "${rc}" -gt 1 ]; then
-    echo "warm submit exited with ${rc}" >&2; exit "${rc}"
-  fi
+  submit() {  # <id> <seed> [serve_cli options]
+    local id="$1" seed="$2"; shift 2
+    rc=0
+    ./build/examples/serve_cli --spool "${tmp}/spool" submit C1 --fast \
+        --episodes 2 --seed "${seed}" --id "${id}" "$@" > /dev/null || rc=$?
+    if [ "${rc}" -gt 1 ]; then
+      echo "submit ${id} exited with ${rc}" >&2; exit "${rc}"
+    fi
+  }
+  wait_result() {  # <id>
+    rc=0
+    ./build/examples/serve_cli --spool "${tmp}/spool" result "$1" \
+        --wait --timeout 300 > /dev/null || rc=$?
+    if [ "${rc}" -gt 1 ]; then
+      echo "result wait for $1 exited with ${rc}" >&2; exit "${rc}"
+    fi
+  }
+  submit cold 5 --wait --timeout 300
+  submit warm 5 --wait --timeout 60
+  # busy occupies the single worker while doomed queues behind it and is
+  # cancelled via the ctl/cancel marker.
+  submit busy 7
+  submit doomed 8
+  ./build/examples/serve_cli --spool "${tmp}/spool" cancel doomed
+  wait_result doomed
+  wait_result busy
   ./build/examples/serve_cli --spool "${tmp}/spool" drain > /dev/null
   wait "${pid}"
   grep -q '"warm_hit":true' "${tmp}/spool/results/warm.json" || {
@@ -313,113 +324,27 @@ run_serve() {
     echo "status.json does not report exactly one warm hit" >&2; exit 1; }
   grep -q '"source":"serve-hit"' "${tmp}/serve.jsonl" || {
     echo "run ledger is missing the serve-hit record" >&2; exit 1; }
-  rm -rf "${tmp}"
-}
+  grep -q '"verdict":"CANCELLED"' "${tmp}/spool/results/doomed.json" || {
+    echo "cancel marker did not cancel the queued job" >&2; exit 1; }
 
-run_fleet() {
-  echo "==> Fleet observability: two traced daemons, merged dashboard + gate"
-  cmake --preset default
-  cmake --build --preset default -j "${JOBS}" \
-      --target synthesize_server serve_cli report_cli json_check fleet_test
-  (cd build && ctest -R fleet_test --output-on-failure)
-
-  local tmp rc pid_a pid_b
-  tmp="$(mktemp -d)"
-  mkdir -p "${tmp}/fleet"
-  ./build/examples/synthesize_server --spool "${tmp}/spool-a" --workers 2 \
-      --ledger "${tmp}/fleet/alpha.jsonl" --instance alpha \
-      --trace "${tmp}/trace-a.json" --poll-ms 50 &
-  pid_a=$!
-  ./build/examples/synthesize_server --spool "${tmp}/spool-b" --workers 1 \
-      --ledger "${tmp}/fleet/beta.jsonl" --instance beta --poll-ms 50 &
-  pid_b=$!
-  wait_for_spool "${tmp}/spool-a" "${tmp}/spool-b"
-
-  # Instance alpha: one cold solve, then the same request again -- a warm
-  # hit from the dedupe map. Instance beta cold-solves the same config (a
-  # redundant cold run across the fleet), then a second job keeps its
-  # single worker busy while a third queues behind it and is cancelled via
-  # the ctl/cancel marker before a worker ever picks it up. Exit 1 (=
-  # UNVERIFIED on the fast budget) is tolerated throughout, as in the
-  # other smokes; this gate checks observability, never the verdict.
-  submit() {  # <spool> <id> <seed> [--wait]
-    local spool="$1" id="$2" seed="$3"; shift 3
-    rc=0
-    ./build/examples/serve_cli --spool "${tmp}/${spool}" submit C1 --fast \
-        --episodes 2 --seed "${seed}" --id "${id}" "$@" --timeout 300 \
-        > /dev/null || rc=$?
-    if [ "${rc}" -gt 1 ]; then
-      echo "submit ${id} exited with ${rc}" >&2; exit "${rc}"
-    fi
-  }
-  submit spool-a cold-a 5 --wait
-  submit spool-a warm-a 5 --wait
-  submit spool-b cold-b 5 --wait
-  submit spool-b busy-b 7
-  submit spool-b doomed 8
-  ./build/examples/serve_cli --spool "${tmp}/spool-b" cancel doomed
-  rc=0
-  ./build/examples/serve_cli --spool "${tmp}/spool-b" result doomed \
-      --wait --timeout 300 > "${tmp}/doomed.out" || rc=$?
-  if [ "${rc}" -gt 1 ]; then
-    echo "doomed result wait exited with ${rc}" >&2; exit "${rc}"
-  fi
-  grep -q '"verdict":"CANCELLED"' "${tmp}/spool-b/results/doomed.json" || {
-    echo "cancel marker did not cancel the queued duplicate" >&2; exit 1; }
-  rc=0
-  ./build/examples/serve_cli --spool "${tmp}/spool-b" result busy-b \
-      --wait --timeout 300 > /dev/null || rc=$?
-  if [ "${rc}" -gt 1 ]; then
-    echo "busy-b result wait exited with ${rc}" >&2; exit "${rc}"
-  fi
-  ./build/examples/serve_cli --spool "${tmp}/spool-a" drain > /dev/null
-  ./build/examples/serve_cli --spool "${tmp}/spool-b" drain > /dev/null
-  wait "${pid_a}" "${pid_b}"
-
-  # The daemons' live exposition survives them: schema-2 status renders
+  # The daemon's live exposition survives it: schema-2 status renders
   # through serve_cli and metrics.txt is Prometheus text.
-  ./build/examples/serve_cli --spool "${tmp}/spool-a" status \
+  ./build/examples/serve_cli --spool "${tmp}/spool" status \
       | grep -q 'warm 1' || {
-    echo "serve_cli status does not render alpha's warm hit" >&2; exit 1; }
-  grep -q '^scs_serve_warm_hits 1$' "${tmp}/spool-a/metrics.txt" || {
+    echo "serve_cli status does not render the warm hit" >&2; exit 1; }
+  grep -q '^scs_serve_warm_hits 1$' "${tmp}/spool/metrics.txt" || {
     echo "metrics.txt is missing the warm-hit counter" >&2; exit 1; }
 
-  # Request-correlated tracing: the trace parses strictly, and cold-a's id
+  # Request-correlated tracing: the trace parses strictly, and cold's id
   # tags its whole lifecycle -- queue wait through result write -- while
   # the warm hit is distinguishable by its own instant.
-  ./build/examples/json_check "${tmp}/trace-a.json"
-  grep -q '"name":"serve.queue_wait".*"rid":"cold-a"' "${tmp}/trace-a.json" || {
-    echo "trace is missing cold-a's queue-wait span" >&2; exit 1; }
-  grep -q '"name":"spool.result_write".*"rid":"cold-a"' \
-      "${tmp}/trace-a.json" || {
-    echo "trace is missing cold-a's result-write span" >&2; exit 1; }
-  grep -q '"name":"serve.warm_hit".*"rid":"warm-a"' "${tmp}/trace-a.json" || {
-    echo "trace is missing warm-a's warm-hit instant" >&2; exit 1; }
-
-  # Merge both instance ledgers (glob expanded by report_cli, not the
-  # shell) and gate the fleet SLOs: zero lost requests, >= 1 warm hit and
-  # cancellation, warm-hit latency ceiling.
-  ./build/examples/report_cli fleet \
-      --ledger "${tmp}/fleet/*.jsonl" \
-      --baseline baselines/fleet.json \
-      --markdown "${tmp}/fleet.md" --json "${tmp}/fleet.json"
-  ./build/examples/json_check "${tmp}/fleet.json"
-  grep -q 'Fleet dashboard (2 instances)' "${tmp}/fleet.md" || {
-    echo "fleet.md is missing the two-instance dashboard" >&2; exit 1; }
-  grep -q '"redundant_cold_runs":1' "${tmp}/fleet.json" || {
-    echo "fleet.json does not flag the cross-instance redundant cold run" >&2
-    exit 1; }
-
-  echo "==> Negative check: a violated fleet baseline must exit nonzero"
-  printf '%s\n' \
-    '{"schema":1,"name":"tampered_fleet","metrics":{' \
-    ' "fleet.warm_hits":{"kind":"min","value":10000}}}' \
-    > "${tmp}/tampered_fleet.json"
-  if ./build/examples/report_cli fleet --ledger "${tmp}/fleet/*.jsonl" \
-      --baseline "${tmp}/tampered_fleet.json" > /dev/null; then
-    echo "report_cli fleet passed a deliberately violated baseline" >&2
-    exit 1
-  fi
+  ./build/examples/json_check "${tmp}/trace.json"
+  grep -q '"name":"serve.queue_wait".*"rid":"cold"' "${tmp}/trace.json" || {
+    echo "trace is missing cold's queue-wait span" >&2; exit 1; }
+  grep -q '"name":"spool.result_write".*"rid":"cold"' "${tmp}/trace.json" || {
+    echo "trace is missing cold's result-write span" >&2; exit 1; }
+  grep -q '"name":"serve.warm_hit".*"rid":"warm"' "${tmp}/trace.json" || {
+    echo "trace is missing warm's warm-hit instant" >&2; exit 1; }
   rm -rf "${tmp}"
 }
 
@@ -471,11 +396,10 @@ case "${1:-all}" in
   perf)    run_perf ;;
   fuzz)    run_fuzz ;;
   serve)   run_serve ;;
-  fleet)   run_fleet ;;
   race)    run_race ;;
   simd)    run_simd ;;
-  all)     run_release; run_asan; run_ubsan; run_store; run_obs; run_perf; run_fuzz; run_serve; run_fleet; run_race; run_simd ;;
-  *) echo "unknown configuration: $1 (want release|asan|ubsan|fault|store|obs|perf|fuzz|serve|fleet|race|simd|all)" >&2
+  all)     run_release; run_asan; run_ubsan; run_store; run_obs; run_perf; run_fuzz; run_serve; run_race; run_simd ;;
+  *) echo "unknown configuration: $1 (want release|asan|ubsan|fault|store|obs|perf|fuzz|serve|race|simd|all)" >&2
      exit 2 ;;
 esac
 

@@ -42,8 +42,7 @@ JsonValue JsonValue::make_string(std::string s) {
 
 namespace {
 
-/// Same grammar and limits as the json_parse_valid validator
-/// (src/obs/json_writer.cpp), but building the document as it goes.
+/// Recursive-descent reader building the document as it goes.
 struct Reader {
   std::string_view text;
   std::size_t pos = 0;

@@ -1,12 +1,12 @@
-// Minimal JSON emission and validation shared by every component that
-// writes JSON (reports, trace export, metrics dump, benchmark outputs).
+// Minimal JSON emission shared by every component that writes JSON
+// (reports, trace export, metrics dump, benchmark outputs).
 //
 // Before this existed each emitter concatenated raw strings, so a benchmark
 // name or failure message containing a quote, backslash, or control
 // character produced unparseable output. All emission now funnels through
 // JsonWriter (or json_escape directly), and json_parse_valid gives tests
-// and CI smoke jobs a dependency-free way to assert that an emitted blob
-// actually parses.
+// and CI smoke jobs a yes/no check that an emitted blob actually parses
+// under the one strict grammar of obs/json_reader.
 #pragma once
 
 #include <cstdint>
@@ -85,10 +85,9 @@ class JsonWriter {
   bool expect_value_ = false;
 };
 
-/// Strict validating parse of a complete JSON document (single value plus
-/// optional surrounding whitespace). Returns true when `text` is valid
-/// JSON; on failure `error` (if non-null) gets a short reason with the
-/// byte offset. No DOM is built.
+/// True when `text` is one complete JSON document under json_parse's
+/// grammar (obs/json_reader.hpp); on failure `error` (if non-null) gets a
+/// short reason with the byte offset.
 bool json_parse_valid(std::string_view text, std::string* error = nullptr);
 
 }  // namespace scs

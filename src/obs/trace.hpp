@@ -77,7 +77,7 @@ void trace_complete(std::string name, std::int64_t start_ns);
 /// event recorded while a TraceIdScope is active carries this id as the
 /// "rid" arg in the exported trace, so one serve request's full timeline
 /// (spool ingest -> queue wait -> solve -> result write, across threads)
-/// can be cut from a fleet trace by id.
+/// can be cut from a daemon trace by id.
 const std::string& trace_correlation_id();
 
 /// RAII: installs `id` as the calling thread's correlation id, restoring

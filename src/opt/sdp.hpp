@@ -76,26 +76,7 @@ struct SdpSolution {
   int iterations = 0;
   /// Rescale-and-retry restarts consumed before this solution was produced.
   int restarts = 0;
-  /// True when the first interior-point run was seeded from an SdpWarmStart
-  /// (retries always restart cold).
-  bool warm_started = false;
 };
-
-/// Warm-start seed: the final iterates of a previous solve of a structurally
-/// identical problem (same block dims, free-variable count, constraint
-/// count). The solver blends the seed toward the cold identity start just
-/// far enough to restore strict positive definiteness, so a seed from a
-/// nearby (perturbed) problem lands deep inside the cone instead of on its
-/// boundary. Shape mismatches fall back to a cold start.
-struct SdpWarmStart {
-  std::vector<Mat> x;  // primal PSD blocks
-  Vec y;               // dual multipliers
-  Vec free_vars;       // may be empty when the problem has no free vars
-};
-
-/// Package a converged solution as a seed for re-solving a perturbed
-/// instance of the same program structure.
-SdpWarmStart make_warm_start(const SdpSolution& solution);
 
 struct SdpOptions {
   int max_iterations = 100;
@@ -127,12 +108,10 @@ struct SdpOptions {
   const JobControl* control = nullptr;
 };
 
-/// Solve. `warm_start` (optional, borrowed for the duration of the call)
-/// seeds the first interior-point run; retries restart cold. A seed is a
-/// hint, never a correctness input: an incompatible or badly conditioned
-/// seed degrades to the cold start path.
-SdpSolution solve_sdp(const SdpProblem& problem, const SdpOptions& options = {},
-                      const SdpWarmStart* warm_start = nullptr);
+/// Solve from the identity start at the auto (or configured) scale;
+/// stalls and numerical failures retry at rescaled starts.
+SdpSolution solve_sdp(const SdpProblem& problem,
+                      const SdpOptions& options = {});
 
 /// Work threshold (touching-constraint count x block dim^2) at or above
 /// which the Schur-complement assembly fans its columns out over the thread

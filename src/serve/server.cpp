@@ -43,13 +43,13 @@ const char* to_string(JobState state) {
 SynthesisServer::SynthesisServer(const ServerConfig& config)
     : config_(config),
       cache_(config.store),
-      queue_(config.queue_capacity, config.queue_shards) {
+      queue_(config.queue_capacity) {
   const int n = std::max(1, config_.workers);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     workers_.emplace_back([this] { worker_loop(); });
   log_info("serve: server up (", n, " worker(s), queue capacity ",
-           queue_.capacity(), ", ", queue_.shard_count(), " shard(s), cache ",
+           queue_.capacity(), ", cache ",
            cache_.enabled() ? "on" : "off", ")");
 }
 
@@ -122,7 +122,7 @@ SynthesisServer::Submit SynthesisServer::submit(const JobRequest& request) {
       append_warm_hit_ledger(*hit);
       if (metrics_enabled()) {
         // Whole warm-hit submit path in microseconds: the latency a client
-        // pays when the answer is already in memory (fleet SLO input).
+        // pays when the answer is already in memory.
         MetricsRegistry::instance().histogram("serve.warm_hit_us").observe(
             static_cast<std::uint64_t>(submit_sw.seconds() * 1e6));
       }
@@ -137,21 +137,21 @@ SynthesisServer::Submit SynthesisServer::submit(const JobRequest& request) {
 
   auto task = [this, entry] { run_entry(entry); };
   switch (queue_.push(request.priority, std::move(task))) {
-    case ShardedJobQueue::Push::kAccepted:
+    case JobQueue::Push::kAccepted:
       out.kind = Submit::Kind::kAccepted;
       if (metrics_enabled()) {
         MetricsRegistry::instance().gauge("serve.queue_depth").set(
             static_cast<std::int64_t>(queue_.size()));
       }
       return out;
-    case ShardedJobQueue::Push::kFull:
+    case JobQueue::Push::kFull:
       out.error = "queue full";
       out.retry_after_seconds = config_.retry_after_seconds;
       overflow_.fetch_add(1, std::memory_order_relaxed);
       bump("serve.overflow");
       trace_instant("serve.overflow");
       break;
-    case ShardedJobQueue::Push::kClosed:
+    case JobQueue::Push::kClosed:
       out.error = "server is draining";
       break;
   }
@@ -382,8 +382,7 @@ void SynthesisServer::append_rejected_ledger(const JobRequest& request,
   if (path.empty()) return;
   // Rejections never ran, so there is no pipeline record to lean on; a
   // minimal synthesis-kind record (verdict REJECTED, source
-  // "serve-rejected") keeps every refused request visible to fleet
-  // aggregation's lost-request and verdict-mix accounting.
+  // "serve-rejected") keeps every refused request visible in the ledger.
   SynthesisResult result;
   result.benchmark = request.benchmark;
   result.verdict = "REJECTED";

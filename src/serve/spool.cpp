@@ -9,7 +9,6 @@
 
 #include "obs/exposition.hpp"
 #include "obs/json_writer.hpp"
-#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/request.hpp"
@@ -117,10 +116,7 @@ std::string job_result_json(const std::string& id, std::uint64_t key,
 }
 
 SpoolRunner::SpoolRunner(SynthesisServer& server, SpoolLayout layout)
-    : server_(server), layout_(std::move(layout)) {
-  instance_ = fs::path(layout_.root).filename().string();
-  if (instance_.empty()) instance_ = layout_.root;
-}
+    : server_(server), layout_(std::move(layout)) {}
 
 bool SpoolRunner::drain_requested() const {
   std::error_code ec;
@@ -254,14 +250,10 @@ void SpoolRunner::write_status() const {
   w.begin_object();
   w.key("schema").value(kStatusSchemaVersion);
   w.key("kind").value("serve_status");
-  w.key("instance").value(instance_);
   w.key("draining").value(server_.draining());
   w.key("queue_depth").value(static_cast<std::uint64_t>(server_.queue_depth()));
   w.key("queue_capacity")
       .value(static_cast<std::uint64_t>(server_.config().queue_capacity));
-  // Shard occupancy: depth spread over the sharded queue (exact per-shard
-  // sizes are not exposed; depth/shards is the mean occupancy).
-  w.key("shards").value(static_cast<std::uint64_t>(server_.queue_shards()));
   w.key("in_flight").value(server_.in_flight());
   w.key("retry_after_seconds").value(server_.config().retry_after_seconds);
   w.key("counters").begin_object();
@@ -335,31 +327,6 @@ int SpoolRunner::apply_cancel_markers() {
     }
   }
   return cancelled;
-}
-
-bool SpoolRunner::append_daemon_summary() const {
-  const std::string path =
-      resolve_ledger_path(server_.config().ledger_path);
-  if (path.empty()) return false;
-  MetricsRegistry& reg = MetricsRegistry::instance();
-  JsonWriter w;
-  w.begin_object();
-  w.key("instance").value(instance_);
-  w.key("submitted").value(server_.submitted());
-  w.key("cold_runs").value(server_.cold_runs());
-  w.key("warm_hits").value(server_.warm_hits());
-  w.key("duplicates").value(server_.duplicates());
-  w.key("rejected").value(server_.rejected());
-  w.key("cancelled").value(server_.cancelled());
-  w.key("overflow").value(server_.overflow());
-  w.key("ingested").value(ingested_total_);
-  w.key("results_written").value(results_written_);
-  write_latency_object(w, "queue_wait_ms",
-                       reg.histogram("serve.queue_wait_ms"));
-  write_latency_object(w, "run_ms", reg.histogram("serve.run_ms"));
-  write_latency_object(w, "warm_hit_us", reg.histogram("serve.warm_hit_us"));
-  w.end_object();
-  return ledger_append_bench("serve_daemon", w.str(), path);
 }
 
 }  // namespace scs

@@ -19,11 +19,10 @@
 // capacity bounds memory, and no request is ever dropped.
 //
 // status.json (schema 2) is the daemon's live exposition: queue depth and
-// capacity, shard count, in-flight count, the full hit/cold/rejected/
-// cancelled/overflow counter set, and wait/solve/warm-hit latency
-// histograms with p50/p90/p99 (null until observed -- never a fake 0).
-// serve_cli's `status` command renders it human-readably; metrics.txt is
-// the same registry for scrapers.
+// capacity, in-flight count, the full hit/cold/rejected/cancelled/overflow
+// counter set, and wait/solve/warm-hit latency histograms with p50/p90/p99
+// (null until observed -- never a fake 0). serve_cli's `status` command
+// renders it human-readably; metrics.txt is the same registry for scrapers.
 #pragma once
 
 #include <cstdint>
@@ -82,14 +81,6 @@ class SpoolRunner {
   /// Jobs ingested but not yet swept to results/.
   std::size_t pending() const { return pending_.size(); }
 
-  /// Instance label stamped into status.json and the daemon summary
-  /// (default: the spool root's filename).
-  void set_instance(std::string instance) { instance_ = std::move(instance); }
-  const std::string& instance() const { return instance_; }
-
-  std::uint64_t ingested_total() const { return ingested_total_; }
-  std::uint64_t results_written() const { return results_written_; }
-
   /// Refresh status.json (also called by poll_once).
   void write_status() const;
 
@@ -101,13 +92,6 @@ class SpoolRunner {
   /// the named in-flight jobs, consuming the markers. Returns how many
   /// cancellations were requested (also called by poll_once).
   int apply_cancel_markers();
-
-  /// Append the daemon lifetime summary ("bench" kind, source
-  /// "serve_daemon") to the server's ledger: final counters,
-  /// ingested/results_written (whose difference is the fleet gate's
-  /// lost-request signal), and latency quantiles. Called by the daemon at
-  /// drain; false when no ledger is configured.
-  bool append_daemon_summary() const;
 
  private:
   struct Pending {
@@ -122,7 +106,6 @@ class SpoolRunner {
 
   SynthesisServer& server_;
   SpoolLayout layout_;
-  std::string instance_;
   std::unordered_map<std::string, Pending> pending_;  // by result id
   std::uint64_t ingested_total_ = 0;
   std::uint64_t results_written_ = 0;

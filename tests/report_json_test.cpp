@@ -120,6 +120,8 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_FALSE(json_parse_valid("01"));
   // Raw control characters are not allowed inside strings.
   EXPECT_FALSE(json_parse_valid("\"a\nb\""));
+  // A lone high surrogate is not a character.
+  EXPECT_FALSE(json_parse_valid("\"\\ud83d\""));
 }
 
 TEST(JsonParse, AcceptsTypicalDocuments) {

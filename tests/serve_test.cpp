@@ -1,5 +1,5 @@
-// Serving-subsystem tests: request wire format, the bounded sharded
-// priority queue, dedupe/exactly-one-cold under concurrent submission,
+// Serving-subsystem tests: request wire format, the bounded priority
+// queue, dedupe/exactly-one-cold under concurrent submission,
 // warm-hit identity, graceful drain, ledger integrity, queued-job
 // cancellation, and the spool protocol.
 #include <gtest/gtest.h>
@@ -111,15 +111,15 @@ TEST(JobRequestWire, KnowsAllBenchmarks) {
   EXPECT_FALSE(benchmark_id_from_name("").has_value());
 }
 
-// ---- ShardedJobQueue.
+// ---- JobQueue.
 
-TEST(ShardedJobQueue, PopsByPriorityThenFifo) {
-  ShardedJobQueue q(16, 4);
+TEST(JobQueue, PopsByPriorityThenFifo) {
+  JobQueue q(16);
   std::vector<int> order;
   for (int i = 0; i < 6; ++i) {
     const int priority = (i % 2 == 0) ? 0 : 5;
     ASSERT_EQ(q.push(priority, [&order, i] { order.push_back(i); }),
-              ShardedJobQueue::Push::kAccepted);
+              JobQueue::Push::kAccepted);
   }
   std::function<void()> fn;
   for (int i = 0; i < 6; ++i) {
@@ -131,32 +131,32 @@ TEST(ShardedJobQueue, PopsByPriorityThenFifo) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(ShardedJobQueue, EnforcesCapacityAndReportsFull) {
-  ShardedJobQueue q(2, 2);
-  EXPECT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kAccepted);
-  EXPECT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kAccepted);
-  EXPECT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kFull);
+TEST(JobQueue, EnforcesCapacityAndReportsFull) {
+  JobQueue q(2);
+  EXPECT_EQ(q.push(0, [] {}), JobQueue::Push::kAccepted);
+  EXPECT_EQ(q.push(0, [] {}), JobQueue::Push::kAccepted);
+  EXPECT_EQ(q.push(0, [] {}), JobQueue::Push::kFull);
   std::function<void()> fn;
   ASSERT_TRUE(q.pop(fn));
-  EXPECT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kAccepted);
+  EXPECT_EQ(q.push(0, [] {}), JobQueue::Push::kAccepted);
 }
 
-TEST(ShardedJobQueue, CloseDrainsThenStops) {
-  ShardedJobQueue q(8);
-  ASSERT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kAccepted);
-  ASSERT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kAccepted);
+TEST(JobQueue, CloseDrainsThenStops) {
+  JobQueue q(8);
+  ASSERT_EQ(q.push(0, [] {}), JobQueue::Push::kAccepted);
+  ASSERT_EQ(q.push(0, [] {}), JobQueue::Push::kAccepted);
   q.close();
-  EXPECT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kClosed);
+  EXPECT_EQ(q.push(0, [] {}), JobQueue::Push::kClosed);
   std::function<void()> fn;
   EXPECT_TRUE(q.pop(fn));   // accepted items stay poppable
   EXPECT_TRUE(q.pop(fn));
   EXPECT_FALSE(q.pop(fn));  // drained + closed -> consumer exit signal
 }
 
-TEST(ShardedJobQueue, ConcurrentPushPopLosesNothing) {
+TEST(JobQueue, ConcurrentPushPopLosesNothing) {
   // 4 producers x 250 items against 4 consumers; every item runs exactly
   // once and the capacity bound holds throughout.
-  ShardedJobQueue q(64, 4);
+  JobQueue q(64);
   constexpr int kProducers = 4, kPerProducer = 250;
   std::atomic<int> executed{0}, rejected{0};
   std::vector<std::thread> threads;
@@ -165,8 +165,8 @@ TEST(ShardedJobQueue, ConcurrentPushPopLosesNothing) {
       for (int i = 0; i < kPerProducer; ++i) {
         for (;;) {
           const auto outcome = q.push(i % 3, [&executed] { ++executed; });
-          if (outcome == ShardedJobQueue::Push::kAccepted) break;
-          ASSERT_EQ(outcome, ShardedJobQueue::Push::kFull);
+          if (outcome == JobQueue::Push::kAccepted) break;
+          ASSERT_EQ(outcome, JobQueue::Push::kFull);
           ++rejected;
           std::this_thread::yield();
         }
@@ -453,8 +453,8 @@ TEST(Spool, DuplicateIdWithDifferentConfigIsRejectedNotOrphaned) {
   EXPECT_EQ(warm.str().find("REJECTED"), std::string::npos);
 }
 
-// ---- Observability (PR 10): backpressure counters, schema-2 status,
-// cancel markers, the daemon summary, and request-correlated tracing.
+// ---- Observability: backpressure counters, schema-2 status, cancel
+// markers, and request-correlated tracing.
 
 TEST(SynthesisServer, QueueFullSubmitCountsOverflowAndHintsRetry) {
   ServerConfig config;
@@ -509,7 +509,6 @@ TEST(Spool, StatusSchemaTwoExposesCountersAndNullLatency) {
   config.store.mode = StoreConfig::Mode::kOff;
   SynthesisServer server(config);
   SpoolRunner runner(server, layout);
-  runner.set_instance("unit");
   runner.write_status();
 
   std::stringstream text;
@@ -517,7 +516,6 @@ TEST(Spool, StatusSchemaTwoExposesCountersAndNullLatency) {
   const std::string s = text.str();
   EXPECT_NE(s.find("\"schema\":2"), std::string::npos) << s;
   EXPECT_NE(s.find("\"kind\":\"serve_status\""), std::string::npos);
-  EXPECT_NE(s.find("\"instance\":\"unit\""), std::string::npos);
   EXPECT_NE(s.find("\"queue_capacity\":64"), std::string::npos);
   EXPECT_NE(s.find("\"retry_after_seconds\""), std::string::npos);
   EXPECT_NE(s.find("\"counters\":{\"submitted\":0"), std::string::npos);
@@ -579,48 +577,6 @@ TEST(Spool, CancelMarkerCancelsPendingJobAndIsConsumed) {
   EXPECT_NE(text.str().find("\"verdict\":\"CANCELLED\""), std::string::npos)
       << text.str();
   server.drain();
-}
-
-TEST(Spool, DaemonSummaryRecordCarriesLostRequestSignal) {
-  TempDir spool("scs_spool_summary_test");
-  TempDir ledger_dir("scs_spool_summary_ledger");
-  const std::string ledger = (ledger_dir.path / "runs.jsonl").string();
-  SpoolLayout layout{spool.str()};
-  std::string error;
-  ASSERT_TRUE(spool_init(layout, &error)) << error;
-
-  ServerConfig config;
-  config.store.mode = StoreConfig::Mode::kOff;
-  config.ledger_path = ledger;
-  SynthesisServer server(config);
-  SpoolRunner runner(server, layout);
-  runner.set_instance("summary-unit");
-
-  JobRequest r = fast_request(800);
-  r.id = "only";
-  ASSERT_TRUE(
-      atomic_write_file(layout.inbox() + "/only.json", job_request_json(r)));
-  runner.poll_once();
-  ASSERT_NE(server.wait(serve_key(r)), nullptr);
-  runner.poll_once();
-  EXPECT_EQ(runner.ingested_total(), 1u);
-  EXPECT_EQ(runner.results_written(), 1u);
-  server.drain();
-  ASSERT_TRUE(runner.append_daemon_summary());
-
-  const LedgerReadResult read = ledger_read(ledger);
-  const LedgerRecord* summary = nullptr;
-  for (const LedgerRecord& rec : read.records)
-    if (rec.kind == "bench" && rec.source == "serve_daemon") summary = &rec;
-  ASSERT_NE(summary, nullptr);
-  EXPECT_NE(summary->values_json.find("\"instance\":\"summary-unit\""),
-            std::string::npos)
-      << summary->values_json;
-  EXPECT_NE(summary->values_json.find("\"ingested\":1"), std::string::npos);
-  EXPECT_NE(summary->values_json.find("\"results_written\":1"),
-            std::string::npos);
-  EXPECT_NE(summary->values_json.find("\"queue_wait_ms\""),
-            std::string::npos);
 }
 
 TEST(SynthesisServer, TracedServeTagsLifecycleWithRequestId) {

@@ -1,5 +1,5 @@
-// Solver-core speed layer: SIMD kernel equivalence, Newton-polytope Gram
-// pruning, and SDP warm starts.
+// Solver-core speed layer: SIMD kernel equivalence and Newton-polytope Gram
+// pruning.
 //
 // The SIMD contract (src/math/simd.hpp) is that the AVX2 and scalar paths
 // are bitwise identical: elementwise kernels never use FMA, and `dot` uses
@@ -16,12 +16,10 @@
 #include "math/mat.hpp"
 #include "math/simd.hpp"
 #include "obs/metrics.hpp"
-#include "opt/sdp.hpp"
 #include "poly/basis.hpp"
 #include "poly/polynomial.hpp"
 #include "sos/putinar.hpp"
 #include "sos/sos_program.hpp"
-#include "store/warm_cache.hpp"
 #include "systems/benchmarks.hpp"
 #include "util/rng.hpp"
 
@@ -245,129 +243,6 @@ TEST(GramPruning, NeverEmptiesABlock) {
   prog.add_sos_poly(monomials_up_to(1, 0));
   const auto stats = prog.gram_prune_stats();
   EXPECT_GE(stats.pruned_dims[0], 1u);
-}
-
-// ---- SDP warm starts ------------------------------------------------------
-
-/// The Gram-block family from bench_solvers: feasible around X0 = I.
-SdpProblem gram_block_problem(std::size_t n, unsigned seed) {
-  Rng rng(seed);
-  SdpProblem p;
-  p.block_dims = {n};
-  p.block_obj_weight = {1.0};
-  for (std::size_t i = 0; i < 2 * n; ++i) {
-    SdpConstraint c;
-    const std::size_t r = rng.index(n);
-    const std::size_t cc = r + rng.index(n - r);
-    const double v = rng.uniform(-1.0, 1.0);
-    c.entries.push_back({0, r, cc, v});
-    c.rhs = (r == cc) ? v : 0.0;
-    p.constraints.push_back(c);
-  }
-  return p;
-}
-
-SdpProblem perturb_values(SdpProblem p, double rel, unsigned seed) {
-  Rng rng(seed);
-  for (SdpConstraint& c : p.constraints) {
-    const double f = 1.0 + rel * rng.normal();
-    for (SdpEntry& e : c.entries) e.value *= f;
-    c.rhs *= f;
-  }
-  return p;
-}
-
-TEST(SdpWarmStart, SeedFromNearbySolveSavesIterationsAndMatchesCold) {
-  const SdpProblem base = gram_block_problem(24, 31);
-  const SdpSolution base_sol = solve_sdp(base);
-  ASSERT_EQ(base_sol.status, SdpStatus::kConverged);
-
-  const SdpProblem near = perturb_values(base, 0.01, 32);
-  const SdpSolution cold = solve_sdp(near);
-  ASSERT_EQ(cold.status, SdpStatus::kConverged);
-  EXPECT_FALSE(cold.warm_started);
-
-  const SdpWarmStart seed = make_warm_start(base_sol);
-  const SdpSolution warm = solve_sdp(near, {}, &seed);
-  ASSERT_EQ(warm.status, SdpStatus::kConverged);
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_LE(warm.iterations, cold.iterations);
-  // A seed is a hint, never a correctness input: same optimum either way.
-  EXPECT_NEAR(warm.primal_objective, cold.primal_objective, 1e-5);
-}
-
-TEST(SdpWarmStart, IncompatibleSeedFallsBackToColdStart) {
-  const SdpProblem p = gram_block_problem(12, 33);
-  const SdpSolution other = solve_sdp(gram_block_problem(8, 34));
-  ASSERT_EQ(other.status, SdpStatus::kConverged);
-  const SdpWarmStart seed = make_warm_start(other);  // wrong shape
-  const SdpSolution sol = solve_sdp(p, {}, &seed);
-  EXPECT_EQ(sol.status, SdpStatus::kConverged);
-  EXPECT_FALSE(sol.warm_started);
-}
-
-TEST(WarmCache, StructureKeyIgnoresValuesButNotShape) {
-  const SdpProblem a = gram_block_problem(10, 35);
-  // Same sparsity, different numbers: same key.
-  const SdpProblem b = perturb_values(a, 0.5, 36);
-  EXPECT_EQ(sdp_structure_key(a), sdp_structure_key(b));
-  // Different block size: different key.
-  EXPECT_NE(sdp_structure_key(a), sdp_structure_key(gram_block_problem(9, 35)));
-}
-
-TEST(WarmCache, HitWithinRadiusMissBeyondIt) {
-  WarmStartCache cache;
-  const SdpProblem base = gram_block_problem(16, 37);
-  EXPECT_FALSE(cache.lookup(base).has_value());  // empty cache: miss
-
-  const SdpSolution sol = solve_sdp(base);
-  ASSERT_EQ(sol.status, SdpStatus::kConverged);
-  cache.insert(base, sol);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // Nearby values: hit.
-  EXPECT_TRUE(cache.lookup(perturb_values(base, 0.01, 38)).has_value());
-  // Same structure but values far outside the acceptance radius: miss.
-  EXPECT_FALSE(cache.lookup(perturb_values(base, 10.0, 39)).has_value());
-
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().inserts, 1u);
-}
-
-TEST(WarmCache, IgnoresNonConvergedSolutions) {
-  WarmStartCache cache;
-  const SdpProblem p = gram_block_problem(8, 40);
-  SdpSolution stalled;  // default status: not converged
-  cache.insert(p, stalled);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().inserts, 0u);
-}
-
-TEST(WarmCache, CachedSolveWarmsSecondCallAndCountsMetrics) {
-  set_metrics_enabled(true);
-  MetricsRegistry::instance().reset_for_tests();
-
-  WarmStartCache cache;
-  const SdpProblem base = gram_block_problem(24, 41);
-  const SdpSolution first = solve_sdp_cached(base, {}, cache);
-  ASSERT_EQ(first.status, SdpStatus::kConverged);
-  EXPECT_FALSE(first.warm_started);  // nothing cached yet
-
-  const SdpProblem near = perturb_values(base, 0.01, 42);
-  const SdpSolution second = solve_sdp_cached(near, {}, cache);
-  ASSERT_EQ(second.status, SdpStatus::kConverged);
-  EXPECT_TRUE(second.warm_started);
-  EXPECT_LE(second.iterations, first.iterations);
-
-  auto count = [](const char* name) {
-    return MetricsRegistry::instance().counter(name).value();
-  };
-  EXPECT_EQ(count("sdp.warm.miss"), 1u);
-  EXPECT_EQ(count("sdp.warm.hit"), 1u);
-  EXPECT_GE(count("sdp.warm.insert"), 1u);
-  EXPECT_GE(count("sdp.warm.starts"), 1u);
-  set_metrics_enabled(false);
 }
 
 TEST(GramPruning, PruneMetricsCountRemovedMonomials) {
