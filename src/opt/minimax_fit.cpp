@@ -50,52 +50,88 @@ LinearSolveReport weighted_ls(const Mat& design, const Vec& targets,
   return robust_solve_spd(g, rhs);
 }
 
-/// Exact minimax LP over a support subset. Returns (c, e) solving
-///   min e  s.t. |u_i - phi_i' c| <= e,  i in support.
+/// Exact minimax LP over a support subset S: (c, e) solving
+///   min e  s.t. |u_k - phi_k' c| <= e,  k in S,
+/// posed as its Chebyshev dual
+///   max sum_k u_k w_k  s.t.  Phi_S' w = 0,  sum_k |w_k| = 1,
+/// with w = p - q and p, q >= 0: v+1 rows and 2s columns (p_k at 2k, q_k at
+/// 2k+1). Any feasible w bounds the optimum from below, and at optimality
+/// e = -objective and c = -(duals of the Phi_S' w = 0 rows).
 struct SupportSolution {
   Vec c;
   double e = 0.0;
   bool ok = false;
 };
 
+/// Recovers c when an artificial stays basic, i.e. Phi_S is rank-deficient
+/// (a duplicated or all-zero basis column on the support). The big-M cost of
+/// that artificial pollutes the LP duals, so re-derive them from the basis
+/// with the artificial's cost taken as zero: each basic p_k / q_k makes its
+/// point a reference point, u_k - phi_k' c = +e / -e, and each basic
+/// artificial of row i < v pins the redundant coefficient c_i = 0.
+bool recover_rank_deficient(const Mat& design, const Vec& targets,
+                            const std::vector<std::size_t>& support,
+                            const std::vector<std::size_t>& basis, Vec& c) {
+  const std::size_t v = design.cols();
+  const std::size_t n = 2 * support.size();
+  Mat m(v + 1, v + 1);
+  Vec rhs(v + 1, 0.0);
+  for (std::size_t r = 0; r <= v; ++r) {
+    if (basis[r] >= n) {
+      m(r, basis[r] - n) = 1.0;
+      continue;
+    }
+    const std::size_t k = support[basis[r] / 2];
+    const double* row = design.row_ptr(k);
+    for (std::size_t j = 0; j < v; ++j) m(r, j) = row[j];
+    m(r, v) = (basis[r] % 2 == 0) ? 1.0 : -1.0;
+    rhs[r] = targets[k];
+  }
+  const LinearSolveReport ce = robust_solve_linear(m, rhs);
+  if (!ce.ok()) return false;
+  c = Vec(v);
+  for (std::size_t j = 0; j < v; ++j) c[j] = ce.x[j];
+  return true;
+}
+
 SupportSolution solve_support_lp(const Mat& design, const Vec& targets,
                                  const std::vector<std::size_t>& support,
                                  const JobControl* control) {
   const std::size_t v = design.cols();
   const std::size_t s = support.size();
-  // Variables: c+ (v), c- (v), e (1), slacks (2s). Rows: 2s.
-  //   phi' (c+ - c-) - e + s1 = u      (phi'c - u <= e)
-  //  -phi' (c+ - c-) - e + s2 = -u     (u - phi'c <= e)
-  const std::size_t ncols = 2 * v + 1 + 2 * s;
   LpProblem lp;
-  lp.a = Mat(2 * s, ncols);
-  lp.b = Vec(2 * s);
-  lp.c = Vec(ncols, 0.0);
-  lp.c[2 * v] = 1.0;  // minimize e
+  lp.a = Mat(v + 1, 2 * s);
+  lp.b = Vec(v + 1, 0.0);
+  lp.b[v] = 1.0;
+  lp.c = Vec(2 * s);
   for (std::size_t k = 0; k < s; ++k) {
     const double* row = design.row_ptr(support[k]);
-    const double u = targets[support[k]];
     for (std::size_t j = 0; j < v; ++j) {
-      lp.a(2 * k, j) = row[j];
-      lp.a(2 * k, v + j) = -row[j];
-      lp.a(2 * k + 1, j) = -row[j];
-      lp.a(2 * k + 1, v + j) = row[j];
+      lp.a(j, 2 * k) = row[j];
+      lp.a(j, 2 * k + 1) = -row[j];
     }
-    lp.a(2 * k, 2 * v) = -1.0;
-    lp.a(2 * k + 1, 2 * v) = -1.0;
-    lp.a(2 * k, 2 * v + 1 + 2 * k) = 1.0;
-    lp.a(2 * k + 1, 2 * v + 1 + 2 * k + 1) = 1.0;
-    lp.b[2 * k] = u;
-    lp.b[2 * k + 1] = -u;
+    lp.a(v, 2 * k) = 1.0;
+    lp.a(v, 2 * k + 1) = 1.0;
+    const double u = targets[support[k]];
+    lp.c[2 * k] = -u;  // minimize -sum_k u_k w_k
+    lp.c[2 * k + 1] = u;
   }
   LpOptions lp_options;
   lp_options.control = control;
   const LpSolution sol = solve_lp(lp, lp_options);
   SupportSolution out;
   if (sol.status != LpStatus::kOptimal) return out;
-  out.c = Vec(v);
-  for (std::size_t j = 0; j < v; ++j) out.c[j] = sol.x[j] - sol.x[v + j];
-  out.e = sol.x[2 * v];
+  out.e = -sol.objective;
+  const bool artificial_basic =
+      std::any_of(sol.basis.begin(), sol.basis.end(),
+                  [s](std::size_t j) { return j >= 2 * s; });
+  if (artificial_basic) {
+    if (!recover_rank_deficient(design, targets, support, sol.basis, out.c))
+      return out;
+  } else {
+    out.c = Vec(v);
+    for (std::size_t j = 0; j < v; ++j) out.c[j] = -sol.dual[j];
+  }
   out.ok = true;
   return out;
 }
@@ -211,8 +247,9 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
       e_full = e2;
     }
     e_support = ss.e;
-    // e_support is a lower bound on the scenario optimum (subset problem);
-    // when the achieved full error matches it, the solution is LP-optimal.
+    // e_support is a dual-feasible objective, hence a lower bound on the
+    // scenario optimum; when the achieved full error matches it, the
+    // solution is LP-optimal.
     if (e2 <= ss.e + options.exchange_tol) {
       c = ss.c;
       r = r2;

@@ -3,8 +3,10 @@
 //     min_c  e   s.t.  |u_i - phi(x_i)' c| <= e  for all K samples,
 //
 // solved at scale by Lawson's iteratively reweighted least squares followed
-// by an exact active-set exchange refinement (each exchange step solves a
-// small LP over the current support set with the revised simplex).
+// by an exact active-set exchange refinement. Each exchange round solves the
+// LP over the current support set S (s points, v basis terms) in its
+// Chebyshev dual form, max sum_k u_k w_k s.t. Phi_S' w = 0, ||w||_1 = 1,
+// with the revised simplex: v+1 rows and 2s columns.
 //
 // The returned error is always the exact achieved max |residual| over all K
 // samples, i.e. a feasible objective value of (8); when `exact` is true it

@@ -53,6 +53,8 @@ class SimplexCore {
   LpStatus run(std::vector<std::size_t>& basis, Mat& binv, int max_iters,
                int* iterations_used) {
     int degenerate_streak = 0;
+    std::vector<char> in_basis(n_, 0);
+    for (const std::size_t j : basis) in_basis[j] = 1;
     for (int it = 0; it < max_iters; ++it) {
       if (iterations_used != nullptr) *iterations_used = it;
       // Wall-clock budget and job-level preemption, checked coarsely to keep
@@ -78,7 +80,7 @@ class SimplexCore {
       std::size_t enter = n_;
       double best = -tol_;
       for (std::size_t j = 0; j < n_; ++j) {
-        if (is_basic(basis, j)) continue;
+        if (in_basis[j]) continue;
         double rj = c_[j];
         for (std::size_t i = 0; i < m_; ++i) rj -= y[i] * a_(i, j);
         if (bland) {
@@ -122,6 +124,8 @@ class SimplexCore {
       }
 
       // Pivot: update basis and basis inverse.
+      in_basis[basis[leave]] = 0;
+      in_basis[enter] = 1;
       basis[leave] = enter;
       const double piv = d[leave];
       for (std::size_t j = 0; j < m_; ++j) binv(leave, j) /= piv;
@@ -137,10 +141,6 @@ class SimplexCore {
   }
 
  private:
-  static bool is_basic(const std::vector<std::size_t>& basis, std::size_t j) {
-    return std::find(basis.begin(), basis.end(), j) != basis.end();
-  }
-
   const Mat& a_;
   const Vec& b_;
   const Vec& c_;
@@ -236,12 +236,14 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
     }
   }
   // Drive remaining (degenerate) artificials out of the basis if possible.
+  std::vector<char> in_basis(n + m, 0);
+  for (const std::size_t j : basis) in_basis[j] = 1;
   for (std::size_t i = 0; i < m; ++i) {
     if (basis[i] < n) continue;
     // Find a non-basic structural column with a nonzero pivot in row i.
     bool pivoted = false;
     for (std::size_t j = 0; j < n && !pivoted; ++j) {
-      if (std::find(basis.begin(), basis.end(), j) != basis.end()) continue;
+      if (in_basis[j]) continue;
       double dij = 0.0;
       for (std::size_t k = 0; k < m; ++k) dij += binv(i, k) * a(k, j);
       if (std::fabs(dij) > 1e-8) {
@@ -249,6 +251,8 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
         Vec col(m);
         for (std::size_t k = 0; k < m; ++k) col[k] = a(k, j);
         const Vec d = matvec(binv, col);
+        in_basis[basis[i]] = 0;
+        in_basis[j] = 1;
         basis[i] = j;
         const double piv = d[i];
         for (std::size_t jj = 0; jj < m; ++jj) binv(i, jj) /= piv;

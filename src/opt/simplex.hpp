@@ -2,9 +2,10 @@
 //
 //     min c'x   s.t.  A x = b,  x >= 0.
 //
-// Sized for the small exact LPs inside the minimax exchange refinement
-// (tens of rows/columns); the large scenario programs never reach this
-// solver directly -- see minimax_fit.hpp.
+// Sized for the small exact LPs inside the minimax exchange refinement: the
+// dual support LP has v+1 rows (v basis terms, tens) and 2s columns (s
+// support points, up to about a thousand); the large scenario programs never
+// reach this solver directly -- see minimax_fit.hpp.
 #pragma once
 
 #include <vector>

@@ -118,6 +118,80 @@ TEST_P(MinimaxVsBruteForce, MatchesExactLpOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimaxVsBruteForce, ::testing::Range(1, 21));
 
+/// Random instance whose design carries a copy of column 1 and an all-zero
+/// column, so Phi restricted to any support is rank-deficient.
+TEST(Minimax, RankDeficientDesignMatchesBruteForce) {
+  for (int seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    const std::size_t k = 40;
+    Mat design(k, 6);
+    Vec targets(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const double x1 = rng.uniform(-1.0, 1.0);
+      const double x2 = rng.uniform(-1.0, 1.0);
+      design.set_row(i, Vec{1.0, x1, x2, x1 * x2, x1, 0.0});
+      targets[i] = std::sin(2.0 * x1) + 0.5 * x2 * x2;
+    }
+    const MinimaxFitResult fit = minimax_fit(design, targets);
+    const double exact = brute_force_minimax(design, targets);
+    EXPECT_TRUE(fit.exact) << "seed " << seed;
+    EXPECT_NEAR(fit.error, exact, 1e-9 * exact) << "seed " << seed;
+  }
+}
+
+/// The exchange must end LP-optimal on the micro-benchmark instances of
+/// bench/bench_solvers.cpp (same generators and seeds): `exact` set, and the
+/// achieved error within exchange_tol of the support optimum.
+void expect_exact_exchange(const Mat& design, const Vec& targets) {
+  const MinimaxOptions options;
+  const MinimaxFitResult fit = minimax_fit(design, targets, options);
+  EXPECT_TRUE(fit.exact);
+  EXPECT_LE(fit.error - fit.support_error, options.exchange_tol);
+}
+
+class MinimaxSamplesSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MinimaxSamplesSweep, ExchangeEndsExact) {
+  // BM_MinimaxFit_SamplesSweep.
+  const std::size_t k = GetParam();
+  Rng rng(1);
+  Mat design(k, 6);
+  Vec targets(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double x1 = rng.uniform(-1.0, 1.0);
+    const double x2 = rng.uniform(-1.0, 1.0);
+    design.set_row(i, Vec{1.0, x1, x2, x1 * x1, x1 * x2, x2 * x2});
+    targets[i] = std::tanh(2.0 * x1 - x2);
+  }
+  expect_exact_exchange(design, targets);
+}
+
+INSTANTIATE_TEST_SUITE_P(K, MinimaxSamplesSweep,
+                         ::testing::Values(std::size_t{1000},
+                                           std::size_t{4096},
+                                           std::size_t{16384}));
+
+class MinimaxTemplateSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(MinimaxTemplateSweep, ExchangeEndsExact) {
+  // BM_MinimaxFit_TemplateSweep.
+  const int degree = GetParam();
+  Rng rng(2);
+  const std::size_t n = 4;
+  const auto basis = monomials_up_to(n, degree);
+  const std::size_t k = 20000;
+  Mat design(k, basis.size());
+  Vec targets(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Vec x(rng.uniform_vector(n, -1.0, 1.0));
+    design.set_row(i, evaluate_basis(basis, x));
+    targets[i] = std::tanh(x[0] - 0.3 * x[1] + x[2] * x[3]);
+  }
+  expect_exact_exchange(design, targets);
+}
+
+INSTANTIATE_TEST_SUITE_P(Degree, MinimaxTemplateSweep, ::testing::Range(1, 4));
+
 TEST(Minimax, LargeSampleCountRuns) {
   // Scenario-scale K with a small basis (like the C4 row of Table 2).
   Rng rng(7);
