@@ -1,63 +1,62 @@
-// Portfolio-racing benchmark: serial ladder vs raced arms on a BMI-heavy
-// system, plus the bitwise replay-determinism guarantee. Results are
-// printed and written to BENCH_race.json; the self-checks mirror the
-// acceptance criteria (raced >= 1.3x faster than serial at 4 lanes, replay
-// of the recorded winner bitwise-identical, same verdict both ways).
+// Barrier-ladder benchmark: the ladder at pool width 1 against width nproc
+// on C1's barrier stage, plus the guarantee that the width never changes
+// the answer. Results are printed and written to BENCH_race.json; the
+// self-checks mirror baselines/race.json (width-nproc result bitwise equal
+// to the width-1 result, >= 1.5x faster at 4 lanes).
 //
-// The workload is chosen so the serial schedule has real work to burn: on
-// a moderately damped oscillator at degree 4, the alternating-BMI arm for
-// attempt 0 draws an unlucky lambda and grinds through every lambda-/B-
-// step round before failing (~25x the cost of a clean solve), while the
-// draws of attempts 1-3 certify on the first solve. The serial ladder
-// always pays for the grinder in full; the racer runs all four arms at
-// once and cancels it mid-solve through its child JobControl scope the
-// moment a sibling wins -- which is why racing wins even on one core.
+// The workload is the first barrier-stage call of C1 at the
+// synthesize_cli --fast budget and pipeline seed 2024 (e2ebench's
+// c1_cli_fast): the PAC surrogate of that run, the barrier config the
+// pipeline builds for it. No arm of its ladder certifies, so
+// every arm runs to the end at both widths -- the case where spreading
+// the arms across the pool pays in full, and where a ladder that fell
+// back to serial would read ~1.0x.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "barrier/synthesis.hpp"
+#include "core/pipeline.hpp"
 #include "obs/ledger.hpp"
-#include "systems/ccds.hpp"
+#include "systems/benchmarks.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scs {
 namespace {
 
-/// Damped oscillator with the unsafe shell at |x| >= 1.5. Under the
-/// alternating-BMI strategy at degree 4 (seed 1), the attempt-0 lambda
-/// draw never certifies -- it burns all bmi_rounds lambda-/B-step solves
-/// before giving up -- while attempts 1-3 certify on their first solve.
-Ccds bmi_heavy_system() {
-  Ccds sys;
-  sys.name = "racebench";
-  sys.num_states = 2;
-  sys.num_controls = 1;
-  const auto x1 = Polynomial::variable(3, 0);
-  const auto x2 = Polynomial::variable(3, 1);
-  const auto u = Polynomial::variable(3, 2);
-  sys.open_field = {x2, x1 * -1.0 - x2 * 0.5 + u};
-  const Box box = Box::centered(2, 2.0);
-  sys.init_set = SemialgebraicSet::ball(Vec{0.0, 0.0}, 0.5);
-  sys.domain = SemialgebraicSet::from_box(box);
-  sys.unsafe_set = SemialgebraicSet::outside_ball(Vec{0.0, 0.0}, 1.5, box);
-  sys.control_bound = 1.0;
-  return sys;
+/// Every BarrierResult field but the wall-clock seconds, compared exactly.
+bool bitwise_equal(const BarrierResult& a, const BarrierResult& b) {
+  return a.success == b.success && a.barrier == b.barrier &&
+         a.lambda == b.lambda && a.degree == b.degree &&
+         a.strategy_used == b.strategy_used && a.attempts == b.attempts &&
+         a.failure_reason == b.failure_reason &&
+         a.max_identity_residual == b.max_identity_residual &&
+         a.min_gram_eigenvalue == b.min_gram_eigenvalue &&
+         a.accepted_via == b.accepted_via && a.winner_arm == b.winner_arm &&
+         a.winner_arm_desc == b.winner_arm_desc &&
+         a.arms_launched == b.arms_launched &&
+         a.arms_cancelled == b.arms_cancelled;
 }
 
-BarrierConfig ladder_config() {
-  BarrierConfig cfg;
-  cfg.degree_schedule = {4};
-  cfg.lambda_attempts = 4;
-  cfg.bmi_rounds = 8;
-  cfg.seed = 1;
-  cfg.race.strategies = {LambdaStrategy::kAlternating};
-  return cfg;
+/// Best-of-`reps` wall time of the ladder at pool width `width`.
+double time_ladder(std::size_t width, int reps, const Ccds& sys,
+                   const std::vector<Polynomial>& controller,
+                   const BarrierConfig& cfg, BarrierResult& result) {
+  set_parallel_threads(width);
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch sw;
+    result = synthesize_barrier(sys, controller, cfg);
+    const double t = sw.seconds();
+    best = rep == 0 ? t : std::min(best, t);
+  }
+  return best;
 }
 
 }  // namespace
@@ -67,78 +66,54 @@ int main() {
   using namespace scs;
 
   const bool fast = std::getenv("SCS_FAST") != nullptr;
-  const int reps = fast ? 1 : 3;
-  constexpr int kLanes = 4;
-  set_parallel_threads(kLanes);
+  const int reps = fast ? 1 : 5;
+  const std::size_t lanes =
+      std::max(1u, std::thread::hardware_concurrency());
 
-  const Ccds sys = bmi_heavy_system();
-  const std::vector<Polynomial> controller = {Polynomial(2)};
-  const BarrierConfig serial_cfg = ladder_config();
-  BarrierConfig race_cfg = serial_cfg;
-  race_cfg.race.enabled = true;
+  // The C1 surrogate, from a run at the synthesize_cli --fast budget.
+  const Benchmark bench = make_benchmark(BenchmarkId::kC1);
+  PipelineConfig pipeline;
+  pipeline.seed = 2024;
+  pipeline.fast_mode = true;
+  pipeline.pac_fit.max_samples = 50000;
+  const SynthesisResult run = synthesize(bench, pipeline);
+  // The barrier config the pipeline builds for that surrogate.
+  BarrierConfig cfg = pipeline.barrier;
+  cfg.degree_schedule = bench.barrier_degrees;
+  cfg.seed = pipeline.seed + 2000;
 
-  std::cout << "=== Portfolio racing benchmark (" << sys.name << ", "
-            << kLanes << " lanes, " << reps << " rep(s)) ===\n";
+  std::cout << "=== Barrier ladder benchmark (C1 fast surrogate, width 1 vs "
+            << lanes << ", " << reps << " rep(s)) ===\n";
 
-  // Best-of-N for both modes: the gate compares steady-state cost, not a
-  // cold-start outlier.
-  double serial_s = 0.0, race_s = 0.0;
-  BarrierResult serial, raced;
-  for (int rep = 0; rep < reps; ++rep) {
-    Stopwatch sw;
-    serial = synthesize_barrier(sys, controller, serial_cfg);
-    const double t = sw.seconds();
-    serial_s = rep == 0 ? t : std::min(serial_s, t);
-  }
-  for (int rep = 0; rep < reps; ++rep) {
-    Stopwatch sw;
-    raced = synthesize_barrier(sys, controller, race_cfg);
-    const double t = sw.seconds();
-    race_s = rep == 0 ? t : std::min(race_s, t);
-  }
-  const double speedup = race_s > 0.0 ? serial_s / race_s : 0.0;
-
-  // Replay determinism: pin the recorded winner and demand a bitwise-equal
-  // certificate (exact coefficient equality, exact diagnostics).
-  BarrierConfig replay_cfg = race_cfg;
-  replay_cfg.race.replay_arm = raced.winner_arm;
-  const BarrierResult replayed = synthesize_barrier(sys, controller,
-                                                    replay_cfg);
-  const bool replay_bitwise =
-      raced.success && replayed.success &&
-      replayed.barrier == raced.barrier && replayed.lambda == raced.lambda &&
-      replayed.max_identity_residual == raced.max_identity_residual &&
-      replayed.min_gram_eigenvalue == raced.min_gram_eigenvalue &&
-      replayed.winner_arm_desc == raced.winner_arm_desc;
-
+  BarrierResult serial, wide;
+  const double serial_s =
+      time_ladder(1, reps, bench.ccds, run.controller, cfg, serial);
+  const double wide_s =
+      time_ladder(lanes, reps, bench.ccds, run.controller, cfg, wide);
   set_parallel_threads(0);
+  const double speedup = wide_s > 0.0 ? serial_s / wide_s : 0.0;
+  const bool width_bitwise = bitwise_equal(serial, wide);
 
-  std::cout << "  serial ladder: " << (serial.success ? "ok" : "FAILED")
-            << ", winner arm " << serial.winner_arm << " ("
-            << serial.winner_arm_desc << "), " << serial.attempts
+  std::cout << "  width 1:  " << (serial.success ? "certified" : "no arm")
+            << ", " << serial.arms_launched << " arms, " << serial.attempts
             << " solves, best " << serial_s << " s\n"
-            << "  raced ladder:  " << (raced.success ? "ok" : "FAILED")
-            << ", winner arm " << raced.winner_arm << " ("
-            << raced.winner_arm_desc << "), " << raced.arms_launched
-            << " launched / " << raced.arms_cancelled << " cancelled, best "
-            << race_s << " s\n"
-            << "  speedup: " << speedup << "x (gate >= 1.3x)\n"
-            << "  replay of arm " << raced.winner_arm << ": "
-            << (replay_bitwise ? "bitwise-identical" : "MISMATCH") << "\n";
+            << "  width " << lanes << ":  "
+            << (wide.success ? "certified" : "no arm") << ", best " << wide_s
+            << " s\n"
+            << "  speedup: " << speedup << "x (gate >= 1.5x at 4 lanes)\n"
+            << "  width-" << lanes << " result vs width 1: "
+            << (width_bitwise ? "bitwise-identical" : "MISMATCH") << "\n";
 
   std::ostringstream json;
-  json << "{\"system\":\"racebench\""
-       << ",\"lanes\":" << kLanes
+  json << "{\"system\":\"C1\""
+       << ",\"lanes\":" << lanes
        << ",\"reps\":" << reps
        << ",\"serial_seconds\":" << serial_s
-       << ",\"race_seconds\":" << race_s
-       << ",\"race_speedup\":" << speedup
-       << ",\"serial_success\":" << (serial.success ? "true" : "false")
-       << ",\"race_success\":" << (raced.success ? "true" : "false")
-       << ",\"winner_arm\":" << raced.winner_arm
-       << ",\"arms_launched\":" << raced.arms_launched
-       << ",\"arms_cancelled\":" << raced.arms_cancelled
-       << ",\"replay_bitwise\":" << (replay_bitwise ? "true" : "false")
+       << ",\"ladder_seconds\":" << wide_s
+       << ",\"ladder_speedup\":" << speedup
+       << ",\"arms_launched\":" << serial.arms_launched
+       << ",\"attempts\":" << serial.attempts
+       << ",\"width_bitwise\":" << (width_bitwise ? "true" : "false")
        << "}";
   std::ofstream("BENCH_race.json") << json.str() << "\n";
   std::cout << "wrote BENCH_race.json\n";
@@ -147,23 +122,14 @@ int main() {
               << "\n";
 
   bool ok = true;
-  if (!serial.success) {
-    std::cerr << "FAIL: serial ladder found no certificate: "
-              << serial.failure_reason << "\n";
+  if (!width_bitwise) {
+    std::cerr << "FAIL: the width-" << lanes
+              << " ladder result differs from the width-1 result\n";
     ok = false;
   }
-  if (!raced.success) {
-    std::cerr << "FAIL: raced ladder found no certificate: "
-              << raced.failure_reason << "\n";
-    ok = false;
-  }
-  if (!replay_bitwise) {
-    std::cerr << "FAIL: replay of the winning arm is not bitwise-identical\n";
-    ok = false;
-  }
-  if (!fast && speedup < 1.3) {
-    std::cerr << "FAIL: racing only " << speedup
-              << "x faster than the serial ladder (need >= 1.3x)\n";
+  if (!fast && lanes >= 4 && speedup < 1.5) {
+    std::cerr << "FAIL: the ladder at width " << lanes << " is only "
+              << speedup << "x faster than at width 1 (need >= 1.5x)\n";
     ok = false;
   }
   return ok ? 0 : 1;

@@ -31,11 +31,11 @@
 #                            # cancel through its ctl/cancel marker, the
 #                            # trace must carry request-correlated rid args,
 #                            # and status.json / metrics.txt must render
-#   scripts/ci.sh race       # portfolio-racing suite: race-labeled tests
-#                            # under tsan (speculative arms + cancellation
-#                            # must be data-race free) and in Release, then
-#                            # a raced-vs-replayed determinism smoke where
-#                            # the pinned winner must reproduce bitwise
+#   scripts/ci.sh race       # barrier-ladder suite: race-labeled tests
+#                            # under tsan (arms across the pool + sibling
+#                            # cancellation must be data-race free) and in
+#                            # Release, then a width-determinism smoke where
+#                            # the width-nproc ladder must equal width 1
 #   scripts/ci.sh simd       # SCS_SIMD=OFF build + full tests (the scalar
 #                            # fallback must stand alone), then the
 #                            # simd-labeled suite under ubsan so the
@@ -157,10 +157,11 @@ run_perf() {
   # the warm-hit latency/speedup so a regression in the serving hot path
   # (e.g. an accidental store round trip per hit) fails CI.
   (cd "${tmp}" && TMPDIR="${tmp}" "${OLDPWD}/build/bench/bench_serve")
-  # bench_race times the serial ladder against the raced arms on a
-  # BMI-heavy system and self-checks the >= 1.3x speedup gate plus the
-  # bitwise replay of the recorded winner; the baseline re-pins both so
-  # the numbers land in the dashboard next to the other suites.
+  # bench_race times the barrier ladder at width 1 against width nproc on
+  # C1's barrier stage, where every arm runs, and self-checks that both
+  # widths give a bitwise-equal result and that 4+ lanes are >= 1.5x
+  # faster (a ladder that fell back to serial reads ~1.0x); the baseline
+  # re-pins both so the numbers land in the dashboard.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_race")
   ./build/bench/bench_solvers \
       --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$|BM_SosGramPrune/(full|pruned)/4$' \
@@ -351,9 +352,10 @@ run_serve() {
 }
 
 run_race() {
-  echo "==> Portfolio-racing suite under ThreadSanitizer"
-  # race_test runs speculative arms on the pool and cancels losers through
-  # child JobControl scopes; the whole dance must be clean under tsan.
+  echo "==> Barrier-ladder suite under ThreadSanitizer"
+  # race_test runs the ladder's arms on the pool and cancels the arms after
+  # a feasible one through child JobControl scopes; the whole dance must
+  # be clean under tsan.
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}" --target race_test
   ctest --preset tsan-race -j "${JOBS}" --output-on-failure
@@ -363,9 +365,9 @@ run_race() {
   cmake --build --preset default -j "${JOBS}" --target race_test bench_race
   (cd build && ctest -L race --output-on-failure)
 
-  echo "==> Replay-determinism smoke (raced winner pinned and reproduced)"
-  # bench_race itself exits nonzero unless the replay of the recorded
-  # winning arm is bitwise-identical to the raced result; SCS_FAST skips
+  echo "==> Width-determinism smoke (ladder at width nproc == width 1)"
+  # bench_race itself exits nonzero unless the ladder's result at width
+  # nproc is bitwise-identical to its result at width 1; SCS_FAST skips
   # the wall-clock speedup gate (that stays in the perf job) so this smoke
   # asserts determinism only.
   local tmp

@@ -273,9 +273,8 @@ Polynomial random_lambda(std::size_t n, LambdaStrategy strategy, int attempt,
 // One arm = one (lambda-strategy, degree-rung, attempt) cell of the retry
 // ladder, self-contained: its own Rng stream (forked by flat index from
 // BarrierConfig::seed, so an arm's draws never depend on which other arms
-// ran or what they returned) and its own JobControl scope. The serial
-// ladder walks the arms in order; the portfolio racer runs them
-// speculatively and cancels the losers.
+// ran or what they returned) and its own JobControl scope, so the arms can
+// run in any order and on any thread.
 
 struct Arm {
   LambdaStrategy strategy = LambdaStrategy::kConstant;
@@ -292,9 +291,8 @@ std::string arm_desc(const Arm& arm) {
 /// strategy, then attempt: with a single strategy this is exactly the
 /// classic serial schedule.
 std::vector<Arm> enumerate_arms(const BarrierConfig& config) {
-  // A non-empty strategy list defines the grid whether or not racing is
-  // on: the serial ladder, the racer, and replay must all see the same
-  // arm indexing for winner_arm to be meaningful across modes.
+  // The ladder and replay must see the same arm indexing for winner_arm to
+  // be meaningful across them.
   std::vector<LambdaStrategy> strategies;
   if (!config.race.strategies.empty())
     strategies = config.race.strategies;
@@ -321,8 +319,8 @@ struct ArmOutcome {
   /// "lmi" | "bmi-lambda" | "bmi-b" when feasible, "" otherwise.
   std::string accepted_via;
   int attempts = 0;  // SOS programs solved by this arm
-  /// Stopped by the arm's JobControl (race loser or job-level stop) rather
-  /// than by running out of ideas.
+  /// Stopped by the arm's JobControl (cancelled by a lower feasible arm,
+  /// or a job-level stop) rather than by running out of ideas.
   bool preempted = false;
   /// The arm got past its control gate and built at least one program.
   bool launched = false;
@@ -479,11 +477,10 @@ BarrierResult synthesize_barrier_closed(
   };
 
   // ---- Deterministic replay: run exactly the recorded winner arm under
-  // its recorded stream. Bitwise-equal to the raced result it reproduces
+  // its recorded stream. Its certificate is bitwise-equal to the ladder's
   // (arm numerics are schedule-independent by construction).
   if (config.race.replay_arm >= 0) {
     const auto index = static_cast<std::size_t>(config.race.replay_arm);
-    result.raced = true;
     if (index >= arms.size()) {
       result.seconds = sw.seconds();
       result.failure_reason = "replay_arm out of range for the arm grid";
@@ -510,130 +507,101 @@ BarrierResult synthesize_barrier_closed(
     return result;
   }
 
-  // ---- Portfolio race: every arm runs speculatively under its own child
-  // JobControl; the first feasible arm wins and cancels the rest. Which
-  // arm wins is timing-dependent, but each arm's *numerics* are not, so
-  // replaying the recorded winner reproduces the result bitwise.
-  if (config.race.enabled) {
-    result.raced = true;
-    std::vector<std::unique_ptr<JobControl>> controls;
-    controls.reserve(arms.size());
-    for (std::size_t i = 0; i < arms.size(); ++i)
-      controls.push_back(std::make_unique<JobControl>(config.sdp.control));
-    std::vector<ArmOutcome> outcomes(arms.size());
-    std::atomic<int> winner{-1};
-    // parallel_for lets the calling thread claim chunks too, so racing
-    // composes with outer parallelism (synthesize_many fan-out) without
-    // deadlock even when every pool worker is busy.
-    parallel_for(arms.size(), 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (winner.load(std::memory_order_acquire) >= 0) {
-          outcomes[i].preempted = true;
-          continue;
-        }
-        // One span per arm lifetime (correlated to the serve request via
-        // the ambient id): winners and mid-solve-cancelled losers are told
-        // apart by the race.winner / race.preempted instants inside.
-        TraceSpan arm_span(trace_enabled() ? "race.arm:" + arm_desc(arms[i])
-                                           : std::string());
-        outcomes[i] = run_arm(system, closed_field, arms[i], config,
-                              controls[i].get(), streams[i]);
-        if (!outcomes[i].program.feasible) {
-          if (outcomes[i].preempted) trace_instant("race.preempted");
-          continue;
-        }
-        int expected = -1;
-        if (winner.compare_exchange_strong(expected, static_cast<int>(i),
-                                           std::memory_order_acq_rel)) {
-          trace_instant("race.winner");
-          for (std::size_t j = 0; j < arms.size(); ++j)
-            if (j != i) controls[j]->cancel();
-        } else {
-          // Photo finish: another arm won first; this certificate is
-          // discarded so the result matches what a replay of the winner
-          // produces.
-          outcomes[i].preempted = true;
-          outcomes[i].program.feasible = false;
-          trace_instant("race.preempted");
-        }
+  // ---- The ladder: every arm runs on the pool under its own child
+  // JobControl, and the lowest-index feasible arm wins. A feasible arm
+  // cancels only the arms after it, an arm above a known winner is skipped,
+  // and the arms before the winner always run to the end -- so the winner,
+  // its certificate and everything reported below are the serial walk's,
+  // whatever the pool width. parallel_for claims arms in index order and
+  // lets the calling thread take them too, so the ladder composes with
+  // outer parallelism (synthesize_many fan-out) without deadlock.
+  std::vector<std::unique_ptr<JobControl>> controls;
+  controls.reserve(arms.size());
+  for (std::size_t i = 0; i < arms.size(); ++i)
+    controls.push_back(std::make_unique<JobControl>(config.sdp.control));
+  std::vector<ArmOutcome> outcomes(arms.size());
+  std::atomic<std::size_t> winner{arms.size()};
+  parallel_for(arms.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (winner.load(std::memory_order_acquire) < i) {
+        outcomes[i].preempted = true;
+        continue;
       }
-    });
-    const int win = winner.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      result.attempts += outcomes[i].attempts;
-      if (outcomes[i].launched) ++result.arms_launched;
-      if (outcomes[i].preempted) ++result.arms_cancelled;
-    }
-    result.seconds = sw.seconds();
-    if (metrics_enabled()) {
-      static Counter& launched =
-          MetricsRegistry::instance().counter("race.arms_launched");
-      static Counter& cancelled =
-          MetricsRegistry::instance().counter("race.arms_cancelled");
-      static Histogram& latency =
-          MetricsRegistry::instance().histogram("race.winner_latency_ms");
-      launched.add(result.arms_launched);
-      cancelled.add(result.arms_cancelled);
-      if (win >= 0)
-        latency.observe(static_cast<std::uint64_t>(result.seconds * 1e3));
-    }
-    if (win >= 0) {
-      accept(static_cast<std::size_t>(win),
-             outcomes[static_cast<std::size_t>(win)]);
-      log_info("barrier: race won by arm ", result.winner_arm_desc, " (",
-               result.arms_launched, " launched, ", result.arms_cancelled,
-               " cancelled), ", result.seconds, "s");
-    } else if (stop_requested(config.sdp.control)) {
-      result.failure_reason = "preempted (job cancelled or deadline)";
-    } else {
-      // Every arm completed naturally; surface the last arm's diagnostics
-      // (deterministic: independent of scheduling).
-      if (!outcomes.empty()) {
-        result.max_identity_residual =
-            outcomes.back().program.max_identity_residual;
-        result.min_gram_eigenvalue =
-            outcomes.back().program.min_gram_eigenvalue;
-        result.failure_reason = outcomes.back().program.failure_reason;
+      // One span per arm lifetime (correlated to the serve request via the
+      // ambient id): winners and cancelled arms are told apart by the
+      // race.winner / race.preempted instants inside.
+      TraceSpan arm_span(trace_enabled() ? "race.arm:" + arm_desc(arms[i])
+                                         : std::string());
+      outcomes[i] = run_arm(system, closed_field, arms[i], config,
+                            controls[i].get(), streams[i]);
+      if (!outcomes[i].program.feasible) {
+        if (outcomes[i].preempted) trace_instant("race.preempted");
+        continue;
       }
-      if (result.failure_reason.empty())
-        result.failure_reason =
-            "no feasible certificate in the degree schedule";
+      std::size_t current = winner.load(std::memory_order_acquire);
+      while (i < current && !winner.compare_exchange_weak(
+                                current, i, std::memory_order_acq_rel)) {
+      }
+      if (i < current) {
+        trace_instant("race.winner");
+        for (std::size_t j = i + 1; j < arms.size(); ++j) controls[j]->cancel();
+      }
     }
-    return result;
+  });
+  std::size_t win = winner.load(std::memory_order_acquire);
+  // No sibling cancels an arm before the winner, so one that stopped early
+  // was stopped by the parent control: the serial walk would have ended
+  // there, preempted, so the ladder does too.
+  for (std::size_t i = 0; i < win && i < arms.size(); ++i) {
+    if (outcomes[i].preempted) {
+      win = arms.size();
+      break;
+    }
   }
+  const bool found = win < arms.size();
 
-  // ---- Serial ladder: walk the arms in order. Identical schedule to the
-  // classic nested degree/attempt loops, but each arm draws from its own
-  // stream so its numerics match what the racer (and replay) would produce
-  // for the same flat index.
-  for (std::size_t i = 0; i < arms.size(); ++i) {
-    // Job-level preemption: the SDP under a stopped control returns
-    // immediately, so without this gate the ladder would still burn one
-    // program *construction* per remaining rung.
-    if (stop_requested(config.sdp.control)) {
-      result.seconds = sw.seconds();
-      result.failure_reason = "preempted (job cancelled or deadline)";
-      return result;
-    }
-    ArmOutcome out = run_arm(system, closed_field, arms[i], config,
-                             config.sdp.control, streams[i]);
-    result.attempts += out.attempts;
-    if (out.launched) ++result.arms_launched;
-    result.max_identity_residual = out.program.max_identity_residual;
-    result.min_gram_eigenvalue = out.program.min_gram_eigenvalue;
-    result.failure_reason = out.program.failure_reason;
-    if (out.program.feasible) {
-      accept(i, out);
-      result.seconds = sw.seconds();
-      log_info("barrier: found certificate of degree ", result.degree,
-               " after ", result.attempts, " attempt(s), ", result.seconds,
-               "s");
-      return result;
-    }
+  // Telemetry of the serial walk: arms 0..win (all of them on failure).
+  const std::size_t walked = found ? win + 1 : arms.size();
+  for (std::size_t i = 0; i < walked; ++i) {
+    result.attempts += outcomes[i].attempts;
+    if (outcomes[i].launched) ++result.arms_launched;
   }
+  result.arms_cancelled = static_cast<int>(arms.size() - walked);
   result.seconds = sw.seconds();
-  if (result.failure_reason.empty())
-    result.failure_reason = "no feasible certificate in the degree schedule";
+  if (metrics_enabled()) {
+    static Counter& launched =
+        MetricsRegistry::instance().counter("race.arms_launched");
+    static Counter& cancelled =
+        MetricsRegistry::instance().counter("race.arms_cancelled");
+    static Histogram& latency =
+        MetricsRegistry::instance().histogram("race.winner_latency_ms");
+    // Work actually spent, speculative arms included: width-dependent.
+    for (const ArmOutcome& out : outcomes) {
+      if (out.launched) launched.add(1);
+      if (out.preempted) cancelled.add(1);
+    }
+    if (found)
+      latency.observe(static_cast<std::uint64_t>(result.seconds * 1e3));
+  }
+  if (found) {
+    accept(win, outcomes[win]);
+    log_info("barrier: found certificate of degree ", result.degree,
+             " at arm ", result.winner_arm_desc, " after ", result.attempts,
+             " attempt(s), ", result.seconds, "s");
+  } else if (stop_requested(config.sdp.control)) {
+    result.failure_reason = "preempted (job cancelled or deadline)";
+  } else {
+    // Every arm ran to the end: report the last arm's diagnostics, as the
+    // serial walk does.
+    if (!outcomes.empty()) {
+      result.max_identity_residual =
+          outcomes.back().program.max_identity_residual;
+      result.min_gram_eigenvalue = outcomes.back().program.min_gram_eigenvalue;
+      result.failure_reason = outcomes.back().program.failure_reason;
+    }
+    if (result.failure_reason.empty())
+      result.failure_reason = "no feasible certificate in the degree schedule";
+  }
   return result;
 }
 
@@ -646,7 +614,6 @@ BarrierResult synthesize_barrier(const Ccds& system,
 
 
 void hash_append(Fnv1a& h, const BarrierRaceConfig& c) {
-  hash_append(h, c.enabled ? 1 : 0);
   hash_append(h, static_cast<std::uint64_t>(c.strategies.size()));
   for (LambdaStrategy s : c.strategies) hash_append(h, static_cast<int>(s));
   hash_append(h, c.replay_arm);

@@ -35,25 +35,20 @@ enum class LambdaStrategy {
 
 std::string to_string(LambdaStrategy s);
 
-/// Portfolio racing over the (lambda-strategy x degree-rung x attempt) arm
-/// grid. When enabled, synthesize_barrier_closed runs every arm
-/// speculatively on the work-stealing pool instead of walking the ladder
-/// serially; the first arm whose certificate passes the sampled Theorem-1
-/// gate wins and every other arm is cancelled through its child JobControl
-/// scope. Each arm draws from its own Rng stream (forked by flat arm index
-/// from BarrierConfig::seed), so an arm's numerics never depend on the
-/// schedule -- only *which* arm wins is timing-dependent. Record the
-/// reported winner_arm and replay it to reproduce a raced result bitwise.
+/// The (lambda-strategy x degree-rung x attempt) arm grid of the barrier
+/// ladder. synthesize_barrier_closed runs the arms across the work pool,
+/// each under its own child JobControl and drawing from its own Rng stream
+/// (forked by flat arm index from BarrierConfig::seed), and the
+/// lowest-index feasible arm wins: a feasible arm cancels only the arms
+/// after it, and the arms before it always run to the end. The result is
+/// therefore the serial walk's answer, bit for bit, at any pool width.
 struct BarrierRaceConfig {
-  bool enabled = false;
-  /// Strategies racing side by side; empty = just
-  /// BarrierConfig::lambda_strategy. Ignored when racing is off (the
-  /// serial ladder also honors a multi-strategy list, which is what the
-  /// serial-vs-raced benchmark compares against).
+  /// Strategies of the arm grid, in ladder order; empty = just
+  /// BarrierConfig::lambda_strategy.
   std::vector<LambdaStrategy> strategies;
   /// Deterministic replay: >= 0 runs only the arm with this flat index
-  /// (the winner_arm of a previous raced run) and is bitwise-identical to
-  /// the raced result it reproduces. -1 = race normally.
+  /// (the winner_arm of a previous run) and reproduces that run's
+  /// certificate bitwise. -1 = run the whole ladder.
   int replay_arm = -1;
 };
 
@@ -86,7 +81,7 @@ struct BarrierResult {
   int degree = 0;            // d_B
   double seconds = 0.0;      // T_p: wall-clock of the verification stage
   LambdaStrategy strategy_used = LambdaStrategy::kConstant;
-  int attempts = 0;          // SOS programs solved
+  int attempts = 0;  // SOS programs of arms 0..winner_arm (all on failure)
   std::string failure_reason;
   double max_identity_residual = 0.0;
   double min_gram_eigenvalue = 0.0;
@@ -95,16 +90,15 @@ struct BarrierResult {
   /// "" when no certificate was found. The reported diagnostics above
   /// always belong to this accepted solve.
   std::string accepted_via;
-  /// True when this result came from a portfolio race (or its replay).
-  bool raced = false;
   /// Flat index of the arm that produced the certificate, valid as
-  /// BarrierRaceConfig::replay_arm; -1 when no arm succeeded. Also filled
-  /// by the serial ladder so serial and replayed runs are comparable.
+  /// BarrierRaceConfig::replay_arm; -1 when no arm succeeded.
   int winner_arm = -1;
   /// Human-readable winner identity, "constant/d=4/a=1".
   std::string winner_arm_desc;
-  /// Race telemetry (zero when racing was off): arms that began solving,
-  /// and arms cancelled or skipped once a winner emerged.
+  /// Ladder telemetry, identical at every pool width: arms 0..winner_arm
+  /// that began solving (every arm on failure), and the arms after the
+  /// winner that were not needed. Speculative work actually spent on those
+  /// shows in the race.arms_launched / race.arms_cancelled counters.
   int arms_launched = 0;
   int arms_cancelled = 0;
 };

@@ -16,16 +16,17 @@
 
 namespace scs {
 
-/// Per-run context a job owner (daemon, CLI signal handler, portfolio
-/// racer) hands to the job it runs. All pointers are borrowed and may be
-/// null. A run's RNG streams and obs sinks are derived deterministically
-/// from the PipelineConfig (seed / obs fields); they belong to the problem
+/// Per-run context a job owner (daemon, CLI signal handler) hands to the
+/// job it runs. All pointers are borrowed and may be null. A run's RNG
+/// streams and obs sinks are derived deterministically from the
+/// PipelineConfig (seed / obs fields); they belong to the problem
 /// statement, not here -- precisely so context never changes results.
 struct JobContext {
   /// Cooperative cancellation + wall-clock deadline. Polled at stage
-  /// boundaries and inside the SDP / simplex iteration loops. A stopped job
-  /// reports verdict "CANCELLED" or "DEADLINE" and stores no artifact for
-  /// the preempted (or any later) stage.
+  /// boundaries, once per DDPG environment step, and inside the SDP /
+  /// simplex iteration loops. A stopped job reports verdict "CANCELLED" or
+  /// "DEADLINE" and stores no artifact for the preempted (or any later)
+  /// stage.
   const JobControl* control = nullptr;
   /// Shared stage cache. Null => the job opens its own from config.store.
   /// The server shares one handle across all jobs so per-job setup stays

@@ -442,8 +442,9 @@ SynthesisResult run_synthesis_job(const Benchmark& benchmark,
         ControlEnv env(sys, cfg.env);
         DdpgAgent agent(sys.num_states, sys.num_controls, cfg.ddpg, rng);
         result.dnn_structure = agent.actor().structure_string();
-        agent.train(env, episodes, rng);
-        result.rl_eval = agent.evaluate(env, cfg.eval_episodes, rng);
+        agent.train(env, episodes, rng, ctx.control);
+        result.rl_eval =
+            agent.evaluate(env, cfg.eval_episodes, rng, ctx.control);
         result.rl_seconds = rl_sw.seconds();
         log_info("pipeline[", benchmark.name, "]: RL done in ",
                  result.rl_seconds, "s, eval safety rate ",
@@ -459,9 +460,13 @@ SynthesisResult run_synthesis_job(const Benchmark& benchmark,
       }
       rl_span.close();
 
-      result = run_stages_2_to_4(benchmark, law, cfg, std::move(result),
-                                 cache->enabled() ? cache : nullptr, rl_key,
-                                 ctx.control);
+      // A stop that lands during training is the rl stage's, not pac's.
+      if (preempted(ctx.control, "rl", result))
+        stamp_verdict(result, ctx.control);
+      else
+        result = run_stages_2_to_4(benchmark, law, cfg, std::move(result),
+                                   cache->enabled() ? cache : nullptr,
+                                   rl_key, ctx.control);
     }
   } catch (const std::exception& e) {
     log_info("pipeline[", benchmark.name, "]: RL stage threw (", e.what(),

@@ -1,5 +1,6 @@
 #include "math/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/simd.hpp"
@@ -8,30 +9,35 @@
 
 namespace scs {
 
-Cholesky::Cholesky(const Mat& a, double tol) : l_(a.rows(), a.cols()) {
-  SCS_REQUIRE(a.rows() == a.cols(), "Cholesky: matrix must be square");
-  const std::size_t n = a.rows();
-  // Column-oriented (left-looking) factorization on the lower triangle.
+bool cholesky_in_place(double* a, std::size_t n, double tol) {
+  // Column-oriented (left-looking) factorization on the lower triangle:
+  // column j reads A(j.., j) once, before overwriting it with L(j.., j),
+  // and otherwise only the finished columns 0..j-1 of L.
   for (std::size_t j = 0; j < n; ++j) {
-    const double* lrow_j = l_.row_ptr(j);
-    double djj = a(j, j) - simd::dot(lrow_j, lrow_j, j);
+    double* lrow_j = a + j * n;
+    double djj = lrow_j[j] - simd::dot(lrow_j, lrow_j, j);
     if (fault_injection_enabled())
       djj = FaultInjector::instance().perturb_pivot(FaultSite::kCholeskyPivot,
                                                     djj);
-    if (djj <= tol) {
-      ok_ = false;
-      return;
-    }
+    if (djj <= tol) return false;
     const double ljj = std::sqrt(djj);
-    l_(j, j) = ljj;
+    lrow_j[j] = ljj;
     const double inv_ljj = 1.0 / ljj;
     for (std::size_t i = j + 1; i < n; ++i) {
-      const double* lrow_i = l_.row_ptr(i);
-      const double acc = a(i, j) - simd::dot(lrow_i, lrow_j, j);
-      l_(i, j) = acc * inv_ljj;
+      double* lrow_i = a + i * n;
+      const double acc = lrow_i[j] - simd::dot(lrow_i, lrow_j, j);
+      lrow_i[j] = acc * inv_ljj;
     }
   }
-  ok_ = true;
+  return true;
+}
+
+Cholesky::Cholesky(const Mat& a, double tol) : l_(a.rows(), a.cols()) {
+  SCS_REQUIRE(a.rows() == a.cols(), "Cholesky: matrix must be square");
+  const std::size_t n = a.rows();
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy(a.row_ptr(i), a.row_ptr(i) + i + 1, l_.row_ptr(i));
+  ok_ = cholesky_in_place(l_.row_ptr(0), n, tol);
 }
 
 Vec Cholesky::solve_lower(const Vec& b) const {

@@ -41,6 +41,13 @@ class Cholesky {
   bool ok_ = false;
 };
 
+/// Factor the row-major n x n matrix at `a` (row stride n) in place, reading
+/// and writing only its lower triangle: on success that triangle holds L.
+/// False when a pivot is <= tol (the triangle is then partly overwritten).
+/// Cholesky's constructor runs exactly this, so the arithmetic, the
+/// kCholeskyPivot fault probe and the pass/fail decision are the same.
+bool cholesky_in_place(double* a, std::size_t n, double tol = 0.0);
+
 /// True when the symmetric matrix is positive definite within tolerance.
 bool is_positive_definite(const Mat& a, double tol = 0.0);
 

@@ -113,7 +113,6 @@ std::string ledger_record_json(const LedgerRecord& r) {
     w.key("pac_degree").value(r.pac_degree);
     w.key("pac_samples").value(r.pac_samples);
     w.key("barrier_degree").value(r.barrier_degree);
-    w.key("barrier_raced").value(r.barrier_raced);
     w.key("race_winner_arm").value(r.race_winner_arm);
     w.key("race_arms_launched").value(r.race_arms_launched);
     w.key("race_arms_cancelled").value(r.race_arms_cancelled);
@@ -229,9 +228,8 @@ bool ledger_record_parse(std::string_view line, LedgerRecord* out,
     r.pac_degree = static_cast<int>(num("pac_degree"));
     r.pac_samples = static_cast<std::uint64_t>(num("pac_samples"));
     r.barrier_degree = static_cast<int>(num("barrier_degree"));
-    // Race fields are optional (records predating PR 9 omit them).
-    const JsonValue* raced = doc.find("barrier_raced");
-    r.barrier_raced = raced != nullptr ? raced->bool_or(false) : false;
+    // Ladder fields are optional (older records omit them and may carry a
+    // barrier_raced flag, which is ignored).
     const JsonValue* warm = doc.find("race_winner_arm");
     r.race_winner_arm =
         warm != nullptr ? static_cast<int>(warm->number_or(-1.0)) : -1;

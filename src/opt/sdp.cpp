@@ -101,13 +101,20 @@ void accumulate_at(const BlockIndex& bi, const Vec& y, Mat& out) {
 }
 
 /// Largest step alpha in (0, 1] with X + alpha * dX positive definite,
-/// found by geometric backtracking on Cholesky attempts.
-double psd_step_length(const Mat& x, const Mat& dx) {
+/// found by geometric backtracking on Cholesky attempts. Each trial forms
+/// the lower triangle of X + alpha dX in `scratch` (at least n x n, reused
+/// across the solve) and factors it there, with the same arithmetic and
+/// pass/fail decision as Cholesky(X + alpha dX).ok().
+double psd_step_length(const Mat& x, const Mat& dx, double* scratch) {
+  const std::size_t n = x.rows();
   double alpha = 1.0;
   for (int k = 0; k < 120; ++k) {
-    Mat trial = x;
-    trial.axpy(alpha, dx);
-    if (Cholesky(trial).ok()) return alpha;
+    for (std::size_t i = 0; i < n; ++i) {
+      double* row = scratch + i * n;
+      std::copy(x.row_ptr(i), x.row_ptr(i) + i + 1, row);
+      simd::axpy(row, alpha, dx.row_ptr(i), i + 1);
+    }
+    if (cholesky_in_place(scratch, n)) return alpha;
     alpha *= 0.9;
     if (alpha < 1e-10) break;
   }
@@ -268,6 +275,12 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
   double best_merit = std::numeric_limits<double>::infinity();
   int best_merit_iter = 0;
 
+  // Step-length trials factor in place here: one buffer for the solve.
+  std::size_t max_dim = 0;
+  for (std::size_t dim : problem.block_dims) max_dim = std::max(max_dim, dim);
+  std::vector<double> step_buffer(max_dim * max_dim);
+  double* const step_scratch = step_buffer.data();
+
   Residuals res;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     sol.iterations = iter + 1;
@@ -371,9 +384,11 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
       const std::size_t nl = problem.block_dims[l];
       const std::size_t nc = bi.constraint_ids.size();
       const auto schur_cols = [&](std::size_t kj_begin, std::size_t kj_end) {
+        Mat w(nl, nl);  // one W per call, cleared per column
         for (std::size_t kj = kj_begin; kj < kj_end; ++kj) {
           // W = X A_j S^{-1} as a sum of outer products over A_j's entries.
-          Mat w(nl, nl);
+          if (kj > kj_begin)
+            std::fill(w.row_ptr(0), w.row_ptr(0) + nl * nl, 0.0);
           for (std::size_t e = bi.entry_begin[kj]; e < bi.entry_begin[kj + 1];
                ++e) {
             const std::size_t r = bi.rows[e];
@@ -525,8 +540,10 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
 
     double ap_aff = 1.0, ad_aff = 1.0;
     for (std::size_t l = 0; l < num_blocks; ++l) {
-      ap_aff = std::min(ap_aff, psd_step_length(x[l], dx_aff[l]));
-      ad_aff = std::min(ad_aff, psd_step_length(sm[l], ds_aff[l]));
+      ap_aff =
+          std::min(ap_aff, psd_step_length(x[l], dx_aff[l], step_scratch));
+      ad_aff =
+          std::min(ad_aff, psd_step_length(sm[l], ds_aff[l], step_scratch));
     }
     ap_aff *= options.step_fraction;
     ad_aff *= options.step_fraction;
@@ -559,8 +576,8 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
 
     double ap = 1.0, ad = 1.0;
     for (std::size_t l = 0; l < num_blocks; ++l) {
-      ap = std::min(ap, psd_step_length(x[l], dx[l]));
-      ad = std::min(ad, psd_step_length(sm[l], ds[l]));
+      ap = std::min(ap, psd_step_length(x[l], dx[l], step_scratch));
+      ad = std::min(ad, psd_step_length(sm[l], ds[l], step_scratch));
     }
     ap *= options.step_fraction;
     ad *= options.step_fraction;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/cancellation.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/hash.hpp"
@@ -107,19 +108,25 @@ void DdpgAgent::update_networks(Rng& rng) {
   critic_target_.soft_update_from(critic_, config_.soft_tau);
 }
 
-TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng) {
+TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng,
+                             const JobControl* control) {
   SCS_REQUIRE(env.state_dim() == state_dim_ && env.action_dim() == action_dim_,
               "DdpgAgent::train: environment dimensions mismatch");
   TrainResult result;
   std::size_t global_step = 0;
   double sigma = config_.noise_sigma;
 
+  bool stopped = false;
   for (int ep = 0; ep < episodes; ++ep) {
     Vec x = env.reset(rng);
     noise_.reset();
     noise_.set_sigma(sigma);
     EpisodeStats stats;
     for (;;) {
+      if (stop_requested(control)) {
+        stopped = true;  // the unfinished episode is dropped
+        break;
+      }
       Vec a;
       if (global_step < config_.warmup_steps) {
         a = Vec(rng.uniform_vector(action_dim_, -1.0, 1.0));
@@ -143,6 +150,7 @@ TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng) {
       if (sr.done) break;
       x = sr.next_state;
     }
+    if (stopped) break;
     result.episodes.push_back(stats);
     sigma = std::max(config_.noise_sigma_min,
                      sigma * config_.noise_decay_per_episode);
@@ -151,6 +159,7 @@ TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng) {
                stats.total_reward, (stats.violated ? " (violated)" : ""));
   }
 
+  if (result.episodes.empty()) return result;
   // Aggregate statistics over the last 10% (at least 1) of episodes.
   const std::size_t window =
       std::max<std::size_t>(1, result.episodes.size() / 10);
@@ -167,15 +176,22 @@ TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng) {
   return result;
 }
 
-EvalResult DdpgAgent::evaluate(ControlEnv& env, int episodes, Rng& rng) const {
+EvalResult DdpgAgent::evaluate(ControlEnv& env, int episodes, Rng& rng,
+                               const JobControl* control) const {
   EvalResult out;
   int safe = 0;
   double sum = 0.0;
-  for (int ep = 0; ep < episodes; ++ep) {
+  bool stopped = false;
+  int ep = 0;
+  for (; ep < episodes; ++ep) {
     Vec x = env.reset_from_init(rng);
     double total = 0.0;
     bool violated = false;
     for (;;) {
+      if (stop_requested(control)) {
+        stopped = true;
+        break;
+      }
       const Vec a = actor_.forward(x);
       const StepResult sr = env.step(a);
       total += sr.reward;
@@ -187,11 +203,13 @@ EvalResult DdpgAgent::evaluate(ControlEnv& env, int episodes, Rng& rng) const {
       if (sr.done) break;
       x = sr.next_state;
     }
+    if (stopped) break;  // the unfinished rollout is dropped
     sum += total;
     if (!violated) ++safe;
   }
-  out.mean_return = sum / std::max(1, episodes);
-  out.safety_rate = static_cast<double>(safe) / std::max(1, episodes);
+  // Over the rollouts finished: all `episodes` of them unless stopped.
+  out.mean_return = sum / std::max(1, ep);
+  out.safety_rate = static_cast<double>(safe) / std::max(1, ep);
   return out;
 }
 

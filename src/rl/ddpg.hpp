@@ -20,6 +20,7 @@
 namespace scs {
 
 class Fnv1a;
+class JobControl;
 
 struct DdpgConfig {
   std::vector<std::size_t> actor_hidden = {30, 30, 30, 30, 30};
@@ -84,11 +85,15 @@ class DdpgAgent {
   /// Greedy normalized action in [-1,1]^m.
   Vec act(const Vec& state) const;
 
-  /// Train for `episodes` episodes on the environment.
-  TrainResult train(ControlEnv& env, int episodes, Rng& rng);
+  /// Train for `episodes` episodes on the environment. `control` (may be
+  /// null) is polled once per environment step; a stop ends training early
+  /// with the episodes finished so far. An idle control changes nothing.
+  TrainResult train(ControlEnv& env, int episodes, Rng& rng,
+                    const JobControl* control = nullptr);
 
-  /// Noise-free evaluation rollouts.
-  EvalResult evaluate(ControlEnv& env, int episodes, Rng& rng) const;
+  /// Noise-free evaluation rollouts; `control` is polled as in train().
+  EvalResult evaluate(ControlEnv& env, int episodes, Rng& rng,
+                      const JobControl* control = nullptr) const;
 
   /// The trained deterministic policy as a control law producing *physical*
   /// actions (scaled by `control_bound`).

@@ -1,11 +1,11 @@
 // Cooperative cancellation and wall-clock deadlines for synthesis jobs.
 //
 // A JobControl is shared between a job's owner (the serving daemon, a CLI
-// signal handler, a portfolio racer) and the code doing the work. The owner
+// signal handler, the barrier ladder) and the code doing the work. The owner
 // calls cancel() or arms a deadline; the workers poll stop_requested() at
-// stage boundaries and inside the solver iteration loops (SDP interior
-// point, revised simplex) and unwind cooperatively -- no thread is ever
-// killed, no lock is ever abandoned.
+// stage boundaries, per DDPG environment step and inside the solver
+// iteration loops (SDP interior point, revised simplex) and unwind
+// cooperatively -- no thread is ever killed, no lock is ever abandoned.
 //
 // Design constraints:
 //   1. Polling must be cheap enough for an inner iteration loop: cancelled()
@@ -18,9 +18,10 @@
 //      cancel while any number of workers poll.
 //   4. Child scopes nest: a control constructed with a parent observes the
 //      parent's cancel/deadline through every poll, while cancelling the
-//      child never touches the parent or its other children. The portfolio
-//      racer hands each speculative arm its own child scope so losing arms
-//      can be cancelled without stopping the job they belong to.
+//      child never touches the parent or its other children. The barrier
+//      ladder hands each arm its own child scope so the arms after a
+//      feasible one can be cancelled without stopping the job they belong
+//      to.
 #pragma once
 
 #include <atomic>

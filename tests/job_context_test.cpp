@@ -100,7 +100,7 @@ TEST(JobControl, ConcurrentCancelIsVisible) {
   EXPECT_TRUE(c.cancelled());
 }
 
-// ---- Child scopes (the portfolio racer's arm controls).
+// ---- Child scopes (the barrier ladder's arm controls).
 
 TEST(JobControlChild, ParentCancelPropagatesToChildren) {
   JobControl parent;
@@ -303,6 +303,24 @@ TEST(JobContextPipeline, MidRunDeadlinePreemptsBeforeCompletion) {
   const SynthesisResult result = job.run(ctx);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.verdict, "DEADLINE");
+}
+
+TEST(JobContextPipeline, DeadlineDuringTrainingEndsAtRlStage) {
+  // A full-budget C1 job spends minutes in DDPG training. DDPG polls the
+  // job control once per environment step, so a 0.2 s deadline ends the
+  // job promptly and is attributed to the stage that was running.
+  PipelineConfig config;
+  config.seed = 1;
+  JobControl control;
+  control.set_deadline_after(0.2);
+  JobContext ctx;
+  ctx.control = &control;
+  const SynthesisJob job(make_benchmark(BenchmarkId::kC1), config);
+  const SynthesisResult result = job.run(ctx);
+  EXPECT_FALSE(result.success);
+  EXPECT_EQ(result.verdict, "DEADLINE");
+  EXPECT_EQ(result.failure_stage, "rl");
+  EXPECT_LT(result.total_seconds, 1.0);
 }
 
 TEST(JobContextPipeline, IdleControlIsBitwiseNeutral) {
