@@ -57,7 +57,7 @@ int main() {
     const Benchmark bench = make_benchmark(c.id);
     for (const auto strategy : strategies) {
       BarrierConfig cfg;
-      cfg.lambda_strategy = strategy;
+      cfg.strategies = {strategy};
       Stopwatch sw;
       const BarrierResult r =
           synthesize_barrier(bench.ccds, {c.controller}, cfg);

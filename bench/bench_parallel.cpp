@@ -5,7 +5,8 @@
 // Each workload runs once with the pool forced to a single thread and once
 // at the default width (SCS_THREADS or hardware concurrency); the outputs
 // must match bit for bit, and the timing ratio is the observed speedup.
-// Results are printed and written to BENCH_parallel.json.
+// Results are printed and written to BENCH_parallel.json; at pool width 1
+// the bench prints them but refuses to write the file (exit 3).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -258,6 +259,15 @@ int main() {
        << ",\"gate_speedup\":" << gate_speedup << ",\"bitwise_identical\":"
        << (gate_identical ? "true" : "false") << "}";
   json << "]}";
+  // At pool width 1 the "parallel" runs are the serial ones again, so a
+  // file recorded there measures nothing: refuse to write it, exiting 3 as
+  // e2ebench/run.py does.
+  if (threads <= 1) {
+    std::cerr << "bench_parallel: refusing to record BENCH_parallel.json at "
+                 "pool width "
+              << threads << " (needs SCS_THREADS >= 2 on a multi-core host)\n";
+    return 3;
+  }
   std::ofstream("BENCH_parallel.json") << json.str() << "\n";
   std::cout << "wrote BENCH_parallel.json\n";
   if (ledger_append_bench("bench_parallel", json.str()))

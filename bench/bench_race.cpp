@@ -4,13 +4,14 @@
 // self-checks mirror baselines/race.json (width-nproc result bitwise equal
 // to the width-1 result, >= 1.5x faster at 4 lanes).
 //
-// The workload is the first barrier-stage call of C1 at the
+// The workload is the primary rung of C1's barrier ladder at the
 // synthesize_cli --fast budget and pipeline seed 2024 (e2ebench's
-// c1_cli_fast): the PAC surrogate of that run, the barrier config the
-// pipeline builds for it. No arm of its ladder certifies, so
-// every arm runs to the end at both widths -- the case where spreading
-// the arms across the pool pays in full, and where a ladder that fell
-// back to serial would read ~1.0x.
+// c1_cli_fast): the PAC surrogate of that run under the constant-lambda
+// strategy, without the pipeline's lower-degree surrogates or its
+// alternating rescue. No arm of the rung certifies, so all 8 arms run to
+// the end at both widths -- the case where spreading the arms across the
+// pool pays in full, and where a ladder that fell back to serial would
+// read ~1.0x.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -39,6 +40,7 @@ bool bitwise_equal(const BarrierResult& a, const BarrierResult& b) {
          a.max_identity_residual == b.max_identity_residual &&
          a.min_gram_eigenvalue == b.min_gram_eigenvalue &&
          a.accepted_via == b.accepted_via && a.winner_arm == b.winner_arm &&
+         a.winner_candidate == b.winner_candidate &&
          a.winner_arm_desc == b.winner_arm_desc &&
          a.arms_launched == b.arms_launched &&
          a.arms_cancelled == b.arms_cancelled;
@@ -77,7 +79,7 @@ int main() {
   pipeline.fast_mode = true;
   pipeline.pac_fit.max_samples = 50000;
   const SynthesisResult run = synthesize(bench, pipeline);
-  // The barrier config the pipeline builds for that surrogate.
+  // The pipeline's barrier config for that surrogate, primary rung only.
   BarrierConfig cfg = pipeline.barrier;
   cfg.degree_schedule = bench.barrier_degrees;
   cfg.seed = pipeline.seed + 2000;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -270,43 +271,51 @@ Polynomial random_lambda(std::size_t n, LambdaStrategy strategy, int attempt,
 
 // ---- The ladder as an explicit arm grid.
 //
-// One arm = one (lambda-strategy, degree-rung, attempt) cell of the retry
-// ladder, self-contained: its own Rng stream (forked by flat index from
-// BarrierConfig::seed, so an arm's draws never depend on which other arms
-// ran or what they returned) and its own JobControl scope, so the arms can
-// run in any order and on any thread.
+// One arm = one (candidate controller, lambda-strategy, degree-rung,
+// attempt) cell of the retry ladder, self-contained: its own Rng stream (so
+// an arm's draws never depend on which other arms ran or what they
+// returned) and its own JobControl scope, so the arms can run in any order
+// and on any thread.
 
 struct Arm {
+  std::size_t candidate = 0;  // index into the candidate controllers
+  int candidate_degree = 0;   // d_p of that candidate
   LambdaStrategy strategy = LambdaStrategy::kConstant;
-  int degree = 0;   // d_B rung
-  int attempt = 0;  // lambda retry within the rung
+  int degree = 0;             // d_B rung
+  int attempt = 0;            // lambda retry within the rung
+  std::size_t stream = 0;     // index within its (candidate, strategy) rung
 };
 
 std::string arm_desc(const Arm& arm) {
-  return to_string(arm.strategy) + "/d=" + std::to_string(arm.degree) +
+  return "d_p=" + std::to_string(arm.candidate_degree) + "/" +
+         to_string(arm.strategy) + "/d=" + std::to_string(arm.degree) +
          "/a=" + std::to_string(arm.attempt);
 }
 
-/// Flatten the configured ladder. Degree-major (cheap rungs first), then
-/// strategy, then attempt: with a single strategy this is exactly the
-/// classic serial schedule.
-std::vector<Arm> enumerate_arms(const BarrierConfig& config) {
-  // The ladder and replay must see the same arm indexing for winner_arm to
-  // be meaningful across them.
-  std::vector<LambdaStrategy> strategies;
-  if (!config.race.strategies.empty())
-    strategies = config.race.strategies;
-  else
-    strategies = {config.lambda_strategy};
+/// Flatten the ladder into (candidate, strategy) rungs: strategies[0] on
+/// each candidate in turn, then each later strategy on candidate 0. Within
+/// a rung, degree-major (cheap rungs first), then attempt.
+std::vector<Arm> enumerate_arms(
+    const BarrierConfig& config,
+    const std::vector<std::vector<Polynomial>>& candidates) {
+  SCS_REQUIRE(!config.strategies.empty(),
+              "synthesize_barrier: no lambda strategy configured");
+  std::vector<std::pair<std::size_t, LambdaStrategy>> rungs;
+  for (std::size_t c = 0; c < candidates.size(); ++c)
+    rungs.emplace_back(c, config.strategies.front());
+  for (std::size_t k = 1; k < config.strategies.size(); ++k)
+    rungs.emplace_back(0, config.strategies[k]);
   std::vector<Arm> arms;
-  for (int d_b : config.degree_schedule) {
-    SCS_REQUIRE(d_b >= 1, "synthesize_barrier: degrees must be >= 1");
-    for (LambdaStrategy strategy : strategies) {
-      const int attempts = (strategy == LambdaStrategy::kZero)
-                               ? 1
-                               : config.lambda_attempts;
+  for (const auto& [candidate, strategy] : rungs) {
+    const int candidate_degree = max_degree_of(candidates[candidate]);
+    const int attempts =
+        (strategy == LambdaStrategy::kZero) ? 1 : config.lambda_attempts;
+    std::size_t stream = 0;
+    for (int d_b : config.degree_schedule) {
+      SCS_REQUIRE(d_b >= 1, "synthesize_barrier: degrees must be >= 1");
       for (int attempt = 0; attempt < attempts; ++attempt)
-        arms.push_back({strategy, d_b, attempt});
+        arms.push_back(
+            {candidate, candidate_degree, strategy, d_b, attempt, stream++});
     }
   }
   return arms;
@@ -404,10 +413,6 @@ ArmOutcome run_arm(const Ccds& system,
   return out;
 }
 
-}  // namespace
-
-namespace {
-
 /// Diagonal rescaling of a semialgebraic set: y-space member iff x = S y is
 /// an x-space member. The analytic distance (if any) is dropped; the
 /// barrier stage only needs membership and sampling.
@@ -426,14 +431,13 @@ SemialgebraicSet scale_set(const SemialgebraicSet& set, const Vec& s) {
 
 }  // namespace
 
-BarrierResult synthesize_barrier_closed(
-    const Ccds& system_in, const std::vector<Polynomial>& closed_field_in,
+BarrierResult synthesize_barrier(
+    const Ccds& system_in,
+    const std::vector<std::vector<Polynomial>>& candidates,
     const BarrierConfig& config) {
-  SCS_REQUIRE(closed_field_in.size() == system_in.num_states,
-              "synthesize_barrier_closed: field dimension mismatch");
+  SCS_REQUIRE(!candidates.empty(), "synthesize_barrier: no candidate");
   BarrierResult result;
   Stopwatch sw;
-  Rng rng(config.seed);
 
   // ---- Rescale the problem to the unit box: x = S y with S = diag(s).
   // Degree-8+ monomials on a box reaching |x_i| = 5 take values ~ 1e7, so
@@ -450,15 +454,22 @@ BarrierResult synthesize_barrier_closed(
   system.init_set = scale_set(system_in.init_set, s);
   system.domain = scale_set(system_in.domain, s);
   system.unsafe_set = scale_set(system_in.unsafe_set, s);
-  std::vector<Polynomial> closed_field;
-  closed_field.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    closed_field.push_back(closed_field_in[i].scale_vars(s) * (1.0 / s[i]));
+  std::vector<std::vector<Polynomial>> closed_fields;
+  for (const auto& controller : candidates) {
+    const std::vector<Polynomial> field = system_in.closed_loop(controller);
+    SCS_REQUIRE(field.size() == n,
+                "synthesize_barrier: field dimension mismatch");
+    closed_fields.emplace_back();
+    for (std::size_t i = 0; i < n; ++i)
+      closed_fields.back().push_back(field[i].scale_vars(s) * (1.0 / s[i]));
+  }
   Vec s_inv(n);
   for (std::size_t i = 0; i < n; ++i) s_inv[i] = 1.0 / s[i];
 
-  const std::vector<Arm> arms = enumerate_arms(config);
-  std::vector<Rng> streams = rng.fork_streams(arms.size());
+  const std::vector<Arm> arms = enumerate_arms(config, candidates);
+  // Stream i is the i-th fork whatever the count, so one set serves every
+  // rung.
+  const std::vector<Rng> streams = Rng(config.seed).fork_streams(arms.size());
 
   // Adopt the arm's accepted solve into the result, mapping the certificate
   // back to the original coordinates: B(x) = B_y(S^{-1} x).
@@ -472,40 +483,10 @@ BarrierResult synthesize_barrier_closed(
     result.min_gram_eigenvalue = out.program.min_gram_eigenvalue;
     result.accepted_via = out.accepted_via;
     result.winner_arm = static_cast<int>(index);
+    result.winner_candidate = static_cast<int>(arms[index].candidate);
     result.winner_arm_desc = arm_desc(arms[index]);
     result.failure_reason.clear();
   };
-
-  // ---- Deterministic replay: run exactly the recorded winner arm under
-  // its recorded stream. Its certificate is bitwise-equal to the ladder's
-  // (arm numerics are schedule-independent by construction).
-  if (config.race.replay_arm >= 0) {
-    const auto index = static_cast<std::size_t>(config.race.replay_arm);
-    if (index >= arms.size()) {
-      result.seconds = sw.seconds();
-      result.failure_reason = "replay_arm out of range for the arm grid";
-      return result;
-    }
-    ArmOutcome out = run_arm(system, closed_field, arms[index], config,
-                             config.sdp.control, streams[index]);
-    result.attempts = out.attempts;
-    result.arms_launched = out.launched ? 1 : 0;
-    result.max_identity_residual = out.program.max_identity_residual;
-    result.min_gram_eigenvalue = out.program.min_gram_eigenvalue;
-    if (out.program.feasible) {
-      accept(index, out);
-      result.seconds = sw.seconds();
-      log_info("barrier: replayed arm ", result.winner_arm_desc, " in ",
-               result.seconds, "s");
-    } else {
-      result.seconds = sw.seconds();
-      result.failure_reason =
-          out.preempted ? "preempted (job cancelled or deadline)"
-                        : "replayed arm no longer yields a certificate: " +
-                              out.program.failure_reason;
-    }
-    return result;
-  }
 
   // ---- The ladder: every arm runs on the pool under its own child
   // JobControl, and the lowest-index feasible arm wins. A feasible arm
@@ -532,8 +513,9 @@ BarrierResult synthesize_barrier_closed(
       // race.winner / race.preempted instants inside.
       TraceSpan arm_span(trace_enabled() ? "race.arm:" + arm_desc(arms[i])
                                          : std::string());
-      outcomes[i] = run_arm(system, closed_field, arms[i], config,
-                            controls[i].get(), streams[i]);
+      outcomes[i] = run_arm(system, closed_fields[arms[i].candidate],
+                            arms[i], config, controls[i].get(),
+                            streams[arms[i].stream]);
       if (!outcomes[i].program.feasible) {
         if (outcomes[i].preempted) trace_instant("race.preempted");
         continue;
@@ -590,40 +572,28 @@ BarrierResult synthesize_barrier_closed(
              " attempt(s), ", result.seconds, "s");
   } else if (stop_requested(config.sdp.control)) {
     result.failure_reason = "preempted (job cancelled or deadline)";
+  } else if (outcomes.empty()) {
+    result.failure_reason = "no feasible certificate in the degree schedule";
   } else {
-    // Every arm ran to the end: report the last arm's diagnostics, as the
-    // serial walk does.
-    if (!outcomes.empty()) {
-      result.max_identity_residual =
-          outcomes.back().program.max_identity_residual;
-      result.min_gram_eigenvalue = outcomes.back().program.min_gram_eigenvalue;
-      result.failure_reason = outcomes.back().program.failure_reason;
-    }
-    if (result.failure_reason.empty())
-      result.failure_reason = "no feasible certificate in the degree schedule";
+    // Every arm ran to the end: report the last arm and its diagnostics,
+    // as the serial walk does.
+    const ProgramOutcome& last = outcomes.back().program;
+    result.max_identity_residual = last.max_identity_residual;
+    result.min_gram_eigenvalue = last.min_gram_eigenvalue;
+    result.failure_reason =
+        "last arm " + arm_desc(arms.back()) + ": " +
+        (last.failure_reason.empty() ? "no feasible certificate"
+                                     : last.failure_reason);
   }
   return result;
-}
-
-BarrierResult synthesize_barrier(const Ccds& system,
-                                 const std::vector<Polynomial>& controller,
-                                 const BarrierConfig& config) {
-  return synthesize_barrier_closed(system, system.closed_loop(controller),
-                                   config);
-}
-
-
-void hash_append(Fnv1a& h, const BarrierRaceConfig& c) {
-  hash_append(h, static_cast<std::uint64_t>(c.strategies.size()));
-  for (LambdaStrategy s : c.strategies) hash_append(h, static_cast<int>(s));
-  hash_append(h, c.replay_arm);
 }
 
 void hash_append(Fnv1a& h, const BarrierConfig& c) {
   hash_append(h, c.degree_schedule);
   hash_append(h, c.rho);
   hash_append(h, c.rho_prime);
-  hash_append(h, static_cast<int>(c.lambda_strategy));
+  hash_append(h, static_cast<std::uint64_t>(c.strategies.size()));
+  for (LambdaStrategy s : c.strategies) hash_append(h, static_cast<int>(s));
   hash_append(h, c.lambda_attempts);
   hash_append(h, c.bmi_rounds);
   hash_append(h, c.seed);
@@ -631,7 +601,6 @@ void hash_append(Fnv1a& h, const BarrierConfig& c) {
   hash_append(h, c.identity_tol);
   hash_append(h, c.gram_tol);
   hash_append(h, static_cast<std::uint64_t>(c.max_sdp_constraints));
-  hash_append(h, c.race);
 }
 
 }  // namespace scs

@@ -35,30 +35,14 @@ enum class LambdaStrategy {
 
 std::string to_string(LambdaStrategy s);
 
-/// The (lambda-strategy x degree-rung x attempt) arm grid of the barrier
-/// ladder. synthesize_barrier_closed runs the arms across the work pool,
-/// each under its own child JobControl and drawing from its own Rng stream
-/// (forked by flat arm index from BarrierConfig::seed), and the
-/// lowest-index feasible arm wins: a feasible arm cancels only the arms
-/// after it, and the arms before it always run to the end. The result is
-/// therefore the serial walk's answer, bit for bit, at any pool width.
-struct BarrierRaceConfig {
-  /// Strategies of the arm grid, in ladder order; empty = just
-  /// BarrierConfig::lambda_strategy.
-  std::vector<LambdaStrategy> strategies;
-  /// Deterministic replay: >= 0 runs only the arm with this flat index
-  /// (the winner_arm of a previous run) and reproduces that run's
-  /// certificate bitwise. -1 = run the whole ladder.
-  int replay_arm = -1;
-};
-
-void hash_append(Fnv1a& h, const BarrierRaceConfig& c);
-
 struct BarrierConfig {
   std::vector<int> degree_schedule = {2, 4};  // d_B values to attempt
   double rho = 1e-3;        // strict positivity margin in (2)
   double rho_prime = 1e-3;  // strict negativity margin in (3)
-  LambdaStrategy lambda_strategy = LambdaStrategy::kConstant;
+  /// Lambda strategies of the arm grid, in ladder order: strategies[0]
+  /// runs on every candidate controller in turn, each later strategy on
+  /// candidate 0 only (the pipeline appends the alternating-BMI rescue).
+  std::vector<LambdaStrategy> strategies = {LambdaStrategy::kConstant};
   int lambda_attempts = 4;   // random lambda retries per degree
   int bmi_rounds = 4;        // alternating rounds (kAlternating only)
   std::uint64_t seed = 7;
@@ -69,7 +53,6 @@ struct BarrierConfig {
   /// many equality constraints. The interior-point Schur solve is O(m^3)
   /// per iteration, so m ~ 3000 is the practical single-core ceiling.
   std::size_t max_sdp_constraints = 3000;
-  BarrierRaceConfig race;
 };
 
 void hash_append(Fnv1a& h, const BarrierConfig& c);
@@ -90,10 +73,13 @@ struct BarrierResult {
   /// "" when no certificate was found. The reported diagnostics above
   /// always belong to this accepted solve.
   std::string accepted_via;
-  /// Flat index of the arm that produced the certificate, valid as
-  /// BarrierRaceConfig::replay_arm; -1 when no arm succeeded.
+  /// Flat index of the arm that produced the certificate in the grid;
+  /// -1 when no arm succeeded.
   int winner_arm = -1;
-  /// Human-readable winner identity, "constant/d=4/a=1".
+  /// Index of the winner's candidate controller; -1 when no arm succeeded.
+  int winner_candidate = -1;
+  /// Human-readable winner identity, "d_p=3/constant/d=4/a=1" (d_p is the
+  /// candidate controller's degree).
   std::string winner_arm_desc;
   /// Ladder telemetry, identical at every pool width: arms 0..winner_arm
   /// that began solving (every arm on failure), and the arms after the
@@ -103,15 +89,26 @@ struct BarrierResult {
   int arms_cancelled = 0;
 };
 
-/// Synthesize a barrier certificate for the closed-loop system
-/// f(x, p(x)). `controller` has one polynomial per control input.
-BarrierResult synthesize_barrier(const Ccds& system,
-                                 const std::vector<Polynomial>& controller,
-                                 const BarrierConfig& config);
-
-/// Same, for an already-closed polynomial vector field over the state vars.
-BarrierResult synthesize_barrier_closed(
-    const Ccds& system, const std::vector<Polynomial>& closed_field,
+/// Synthesize a barrier certificate for the closed-loop system f(x, p(x)),
+/// trying each candidate controller p (one polynomial per control input)
+/// as one ladder. The arm grid is (candidate x lambda-strategy x degree x
+/// attempt), in the order BarrierConfig::strategies describes; each rung
+/// (one candidate, one strategy) draws its arms' Rng streams by the arm's
+/// index within the rung, forked from BarrierConfig::seed. The arms run
+/// across the work pool, each under its own child JobControl, and the
+/// lowest-index feasible arm wins: a feasible arm cancels only the arms
+/// after it, and the arms before it always run to the end. The result is
+/// therefore the serial walk's answer, bit for bit, at any pool width.
+BarrierResult synthesize_barrier(
+    const Ccds& system, const std::vector<std::vector<Polynomial>>& candidates,
     const BarrierConfig& config);
+
+/// Same, for a single candidate controller.
+inline BarrierResult synthesize_barrier(
+    const Ccds& system, const std::vector<Polynomial>& controller,
+    const BarrierConfig& config) {
+  return synthesize_barrier(
+      system, std::vector<std::vector<Polynomial>>{controller}, config);
+}
 
 }  // namespace scs

@@ -197,16 +197,21 @@ SynthesisResult run_stages_2_to_4_impl(const Benchmark& benchmark,
              "any verdict rests on verification + validation alone");
   }
 
-  // ---- Stage 3: barrier-certificate generation. The primary candidate is
-  // the PAC-selected surrogate; if the SOS stage rejects it, alternate
-  // degrees from the Algorithm-1 sweep are tried (lower-degree surrogates
-  // both shrink the SOS program and often smooth the closed loop -- the
-  // "broader possibilities for BC selection" of Section 5).
+  // ---- Stage 3: barrier-certificate generation, one ladder over every
+  // candidate. The primary candidate is the PAC-selected surrogate; behind
+  // it come the other degrees of the Algorithm-1 sweep (lower-degree
+  // surrogates both shrink the SOS program and often smooth the closed
+  // loop -- the "broader possibilities for BC selection" of Section 5), and
+  // last the paper's alternating (BMI) schedule on the primary, which
+  // searches over lambda as well.
   TraceSpan barrier_span("stage.barrier");
   Stopwatch barrier_sw;
   BarrierConfig barrier_cfg = config.barrier;
   if (barrier_cfg.degree_schedule.empty())
     barrier_cfg.degree_schedule = benchmark.barrier_degrees;
+  if (std::find(barrier_cfg.strategies.begin(), barrier_cfg.strategies.end(),
+                LambdaStrategy::kAlternating) == barrier_cfg.strategies.end())
+    barrier_cfg.strategies.push_back(LambdaStrategy::kAlternating);
   barrier_cfg.seed = config.seed + 2000;
   barrier_cfg.sdp.control = control;  // preempts mid-interior-point
   std::uint64_t barrier_key = 0;
@@ -214,8 +219,8 @@ SynthesisResult run_stages_2_to_4_impl(const Benchmark& benchmark,
   if (cached) {
     barrier_key = barrier_stage_key(pac_key, barrier_cfg);
     if (auto hit = cache->load_barrier(barrier_key, result.cache.barrier)) {
-      // The barrier stage may have swapped in a lower-degree surrogate, so
-      // the cached entry carries the accepted controller and PAC model too.
+      // The ladder may have certified a lower-degree surrogate, so the
+      // cached entry carries the accepted controller and PAC model too.
       result.barrier = std::move(hit->barrier);
       result.controller = std::move(hit->controller);
       result.pac.model = std::move(hit->pac_model);
@@ -224,41 +229,23 @@ SynthesisResult run_stages_2_to_4_impl(const Benchmark& benchmark,
     }
   }
   if (!barrier_warm) {
-    result.barrier = synthesize_barrier(sys, result.controller, barrier_cfg);
-    if (!result.barrier.success && sys.num_controls == 1) {
+    std::vector<std::vector<Polynomial>> candidates = {result.controller};
+    std::vector<PacModel> models = {result.pac.model};
+    if (sys.num_controls == 1) {
       for (auto it = result.pac.per_degree.rbegin();
-           it != result.pac.per_degree.rend() && !result.barrier.success;
-           ++it) {
-        if (it->degree == result.pac.model.degree) continue;  // already tried
-        const std::vector<Polynomial> candidate = {it->poly * bound};
-        BarrierResult retry =
-            synthesize_barrier(sys, candidate, barrier_cfg);
-        if (retry.success) {
-          log_info("pipeline: degree-", it->degree,
-                   " surrogate verified after the primary failed");
-          result.controller = candidate;
-          result.pac.model = *it;
-          result.barrier = std::move(retry);
-        }
+           it != result.pac.per_degree.rend(); ++it) {
+        if (it->degree == result.pac.model.degree) continue;  // the primary
+        candidates.push_back({it->poly * bound});
+        models.push_back(*it);
       }
     }
-    if (!result.barrier.success &&
-        barrier_cfg.lambda_strategy != LambdaStrategy::kAlternating) {
-      // Last rung of the barrier-stage ladder: the paper's alternating (BMI)
-      // schedule searches over lambda as well, which regularly rescues
-      // instances where every fixed-lambda SOS program stalls or is rejected.
-      log_info("pipeline[", benchmark.name,
-               "]: fixed-lambda SOS failed; retrying with the alternating "
-               "schedule before reporting UNVERIFIED");
-      BarrierConfig alt_cfg = barrier_cfg;
-      alt_cfg.lambda_strategy = LambdaStrategy::kAlternating;
-      BarrierResult alt = synthesize_barrier(sys, result.controller, alt_cfg);
-      alt.attempts += result.barrier.attempts;
-      if (alt.success) {
-        log_info("pipeline[", benchmark.name,
-                 "]: alternating schedule recovered a certificate");
-        result.barrier = std::move(alt);
-      }
+    result.barrier = synthesize_barrier(sys, candidates, barrier_cfg);
+    if (result.barrier.winner_candidate > 0) {
+      const auto k = static_cast<std::size_t>(result.barrier.winner_candidate);
+      log_info("pipeline[", benchmark.name, "]: degree-", models[k].degree,
+               " surrogate verified after the primary failed");
+      result.controller = std::move(candidates[k]);
+      result.pac.model = std::move(models[k]);
     }
     // A preempted barrier failure is not a real infeasibility; do not cache
     // it (a re-run without the stop could still find a certificate).
@@ -273,9 +260,9 @@ SynthesisResult run_stages_2_to_4_impl(const Benchmark& benchmark,
   if (preempted(control, "barrier", result)) return result;
   if (!result.barrier.success) {
     result.failure_stage = "barrier";
-    result.failure_message =
-        "barrier synthesis failed (incl. alternating-schedule retry): " +
-        result.barrier.failure_reason;
+    result.failure_message = "barrier synthesis failed in all " +
+                             std::to_string(result.barrier.arms_launched) +
+                             " arms; " + result.barrier.failure_reason;
     return result;
   }
 

@@ -72,8 +72,8 @@ struct LedgerRecord {
   int pac_degree = 0;
   std::uint64_t pac_samples = 0;
   int barrier_degree = 0;
-  /// Barrier-ladder provenance: race_winner_arm is the flat arm index to
-  /// pin via BarrierRaceConfig::replay_arm for a bitwise replay (-1 = no
+  /// Barrier-ladder provenance: race_winner_arm is the winner's flat index
+  /// in the arm grid, candidate rungs and the rescue rung included (-1 = no
   /// winner); launched/cancelled are BarrierResult's width-independent
   /// counts. Optional in schema 1: absent fields parse to these defaults.
   int race_winner_arm = -1;

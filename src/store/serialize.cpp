@@ -361,6 +361,7 @@ void write_barrier_result(BinaryWriter& w, const BarrierResult& b) {
   w.f64(b.min_gram_eigenvalue);
   w.str(b.accepted_via);
   w.i64(b.winner_arm);
+  w.i64(b.winner_candidate);
   w.str(b.winner_arm_desc);
   w.i64(b.arms_launched);
   w.i64(b.arms_cancelled);
@@ -380,6 +381,7 @@ BarrierResult read_barrier_result(BinaryReader& r) {
   b.min_gram_eigenvalue = r.f64();
   b.accepted_via = r.str();
   b.winner_arm = static_cast<int>(r.i64());
+  b.winner_candidate = static_cast<int>(r.i64());
   b.winner_arm_desc = r.str();
   b.arms_launched = static_cast<int>(r.i64());
   b.arms_cancelled = static_cast<int>(r.i64());

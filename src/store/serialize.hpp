@@ -36,7 +36,7 @@ namespace scs {
 
 /// Bump whenever any serialized layout below changes; the version is part
 /// of every cache key, so old blobs become unreachable instead of misread.
-inline constexpr std::uint32_t kStoreFormatVersion = 3;
+inline constexpr std::uint32_t kStoreFormatVersion = 4;
 
 /// Malformed / truncated / version-mismatched / corrupt blob.
 class StoreError : public std::runtime_error {

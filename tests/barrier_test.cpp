@@ -135,7 +135,7 @@ TEST(BarrierBmi, BStepAcceptanceReportsAcceptedDiagnostics) {
   // first B-step accepts -- accepted_via pins the path.
   const Ccds sys = toy2_weak(1.0);
   BarrierConfig cfg;
-  cfg.lambda_strategy = LambdaStrategy::kAlternating;
+  cfg.strategies = {LambdaStrategy::kAlternating};
   cfg.degree_schedule = {2};
   cfg.lambda_attempts = 1;
   cfg.seed = 1;
@@ -152,7 +152,7 @@ TEST(BarrierBmi, LambdaStepAcceptanceReportsAcceptedDiagnostics) {
   // the failed solve's diagnostics in the result.
   const Ccds sys = toy2_weak(0.4);
   BarrierConfig cfg;
-  cfg.lambda_strategy = LambdaStrategy::kAlternating;
+  cfg.strategies = {LambdaStrategy::kAlternating};
   cfg.degree_schedule = {4};
   cfg.lambda_attempts = 2;
   cfg.seed = 4;
@@ -182,7 +182,7 @@ TEST_P(BarrierLambdaSweep, ToySystemFeasibleUnderEveryStrategy) {
   sys.control_bound = 1.0;
 
   BarrierConfig config;
-  config.lambda_strategy = GetParam();
+  config.strategies = {GetParam()};
   config.degree_schedule = {2, 4};
   const BarrierResult result =
       synthesize_barrier(sys, {Polynomial(2)}, config);

@@ -253,6 +253,23 @@ TEST(GoldenPipeline, UnstableSystemIsDeterministicallyUnverified) {
   ASSERT_EQ(r1.verdict, "UNVERIFIED");
   EXPECT_FALSE(r1.success);
   EXPECT_FALSE(r1.failure_message.empty());
+  // The barrier report covers the whole ladder: every arm of every
+  // candidate rung (the primary surrogate, then the other sweep degrees)
+  // and of the alternating rescue, and it names the last arm walked.
+  int candidates = 1;
+  for (const PacModel& m : r1.pac.per_degree)
+    candidates += m.degree != r1.pac.model.degree ? 1 : 0;
+  const std::vector<int>& degrees = cfg.barrier.degree_schedule;
+  const int arms = static_cast<int>(degrees.size()) *
+                   cfg.barrier.lambda_attempts * (candidates + 1);
+  EXPECT_EQ(r1.barrier.arms_launched, arms);
+  EXPECT_GE(r1.barrier.attempts, arms);
+  const std::string last_arm =
+      "last arm d_p=" + std::to_string(r1.pac.model.degree) +
+      "/alternating-BMI/d=" + std::to_string(degrees.back()) +
+      "/a=" + std::to_string(cfg.barrier.lambda_attempts - 1) + ": ";
+  EXPECT_NE(r1.failure_message.find(last_arm), std::string::npos)
+      << r1.failure_message;
   compare_to_golden(r1, "unstable_unverified.json", bench.ccds.num_states);
 }
 

@@ -1,9 +1,11 @@
 // The barrier ladder: arms run across the work pool under child JobControl
 // scopes, the lowest-index feasible arm wins, and the result -- certificate,
 // winner, diagnostics, telemetry -- is the serial walk's at every pool
-// width. Replay of the recorded winner reproduces its certificate bitwise.
+// width, across candidate rungs and the rescue rung too.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "barrier/synthesis.hpp"
@@ -56,8 +58,15 @@ BarrierConfig grinder_config() {
   cfg.degree_schedule = {4};
   cfg.lambda_attempts = 4;
   cfg.seed = 1;
-  cfg.race.strategies = {LambdaStrategy::kAlternating};
+  cfg.strategies = {LambdaStrategy::kAlternating};
   return cfg;
+}
+
+/// Positive feedback u = 5 x1 on toy2 makes the origin a saddle whose
+/// unstable manifold runs from the initial ball into the unsafe set: no
+/// barrier certificate exists for this candidate.
+std::vector<Polynomial> saddle_controller() {
+  return {Polynomial::variable(2, 0) * 5.0};
 }
 
 /// Every BarrierResult field but the wall-clock seconds.
@@ -73,30 +82,75 @@ void expect_same_result(const BarrierResult& a, const BarrierResult& b) {
   EXPECT_EQ(a.min_gram_eigenvalue, b.min_gram_eigenvalue);
   EXPECT_EQ(a.accepted_via, b.accepted_via);
   EXPECT_EQ(a.winner_arm, b.winner_arm);
+  EXPECT_EQ(a.winner_candidate, b.winner_candidate);
   EXPECT_EQ(a.winner_arm_desc, b.winner_arm_desc);
   EXPECT_EQ(a.arms_launched, b.arms_launched);
   EXPECT_EQ(a.arms_cancelled, b.arms_cancelled);
 }
 
 /// Runs the ladder at pool widths 1, 2 and 4; restores the default width.
-std::vector<BarrierResult> at_widths(const Ccds& sys,
-                                     const std::vector<Polynomial>& ctrl,
-                                     const BarrierConfig& cfg) {
+std::vector<BarrierResult> at_widths(
+    const Ccds& sys, const std::vector<std::vector<Polynomial>>& candidates,
+    const BarrierConfig& cfg) {
   std::vector<BarrierResult> out;
   for (std::size_t width : {1, 2, 4}) {
     set_parallel_threads(width);
-    out.push_back(synthesize_barrier(sys, ctrl, cfg));
+    out.push_back(synthesize_barrier(sys, candidates, cfg));
   }
   set_parallel_threads(0);
   return out;
 }
 
+/// The serial walk the grid must reproduce: one single-rung ladder per
+/// (candidate, strategy) rung -- strategies[0] on each candidate in turn,
+/// then each later strategy on candidate 0 -- stopping at the first
+/// certificate, with the rung's winner index and telemetry restated in
+/// terms of the whole grid.
+BarrierResult serial_reference(
+    const Ccds& sys, const std::vector<std::vector<Polynomial>>& candidates,
+    const BarrierConfig& cfg) {
+  std::vector<std::pair<std::size_t, LambdaStrategy>> rungs;
+  for (std::size_t c = 0; c < candidates.size(); ++c)
+    rungs.emplace_back(c, cfg.strategies.front());
+  for (std::size_t k = 1; k < cfg.strategies.size(); ++k)
+    rungs.emplace_back(0, cfg.strategies[k]);
+  const auto rung_arms = [&](LambdaStrategy s) {
+    return static_cast<int>(cfg.degree_schedule.size()) *
+           (s == LambdaStrategy::kZero ? 1 : cfg.lambda_attempts);
+  };
+  int grid_arms = 0;
+  for (const auto& rung : rungs) grid_arms += rung_arms(rung.second);
+
+  BarrierResult out;
+  int offset = 0;
+  int attempts = 0;
+  int launched = 0;
+  for (const auto& [candidate, strategy] : rungs) {
+    BarrierConfig one = cfg;
+    one.strategies = {strategy};
+    out = synthesize_barrier(sys, candidates[candidate], one);
+    attempts += out.attempts;
+    launched += out.arms_launched;
+    if (out.success) {
+      out.winner_arm += offset;
+      out.winner_candidate = static_cast<int>(candidate);
+      break;
+    }
+    offset += rung_arms(strategy);
+  }
+  out.attempts = attempts;
+  out.arms_launched = launched;
+  out.arms_cancelled = out.success ? grid_arms - out.winner_arm - 1 : 0;
+  return out;
+}
+
 TEST(BarrierLadder, ResultIsIdenticalAtWidthsOneTwoFour) {
   const std::vector<BarrierResult> runs =
-      at_widths(lightly_damped(), {Polynomial(2)}, grinder_config());
+      at_widths(lightly_damped(), {{Polynomial(2)}}, grinder_config());
   ASSERT_TRUE(runs[0].success) << runs[0].failure_reason;
   EXPECT_EQ(runs[0].winner_arm, 1);
-  EXPECT_EQ(runs[0].winner_arm_desc, "alternating-BMI/d=4/a=1");
+  EXPECT_EQ(runs[0].winner_candidate, 0);
+  EXPECT_EQ(runs[0].winner_arm_desc, "d_p=0/alternating-BMI/d=4/a=1");
   // The serial walk's telemetry: arms 0..1 ran, arms 2..3 were not needed.
   EXPECT_EQ(runs[0].arms_launched, 2);
   EXPECT_EQ(runs[0].arms_cancelled, 2);
@@ -138,105 +192,115 @@ TEST(BarrierLadder, LowerFeasibleArmBeatsFasterHigherArm) {
   expect_same_result(serial, wide);
 }
 
-TEST(BarrierLadder, NoFeasibleArmReportsLastArmAtEveryWidth) {
-  // Destabilizing feedback on the pendulum: no degree-2 certificate
-  // exists, so every arm runs to the end.
-  const Benchmark bench = make_benchmark(BenchmarkId::kC1);
-  const auto x1 = Polynomial::variable(2, 0);
-  const auto x2 = Polynomial::variable(2, 1);
+TEST(BarrierLadder, WinnerInLaterCandidateRungMatchesSerialWalk) {
+  // Rungs: (saddle, constant), (zero, constant), (saddle, alternating).
+  // The saddle candidate has no certificate; the second rung's first arm
+  // certifies the zero controller, and the rescue rung is not needed.
+  const std::vector<std::vector<Polynomial>> candidates = {
+      saddle_controller(), {Polynomial(2)}};
   BarrierConfig cfg;
   cfg.degree_schedule = {2};
   cfg.lambda_attempts = 2;
-  cfg.race.strategies = {LambdaStrategy::kConstant, LambdaStrategy::kLinear};
-  const std::vector<BarrierResult> runs =
-      at_widths(bench.ccds, {x1 * 10.0 + x2 * 2.0}, cfg);
+  cfg.strategies = {LambdaStrategy::kConstant, LambdaStrategy::kAlternating};
+  const BarrierResult reference = serial_reference(toy2(), candidates, cfg);
+  const std::vector<BarrierResult> runs = at_widths(toy2(), candidates, cfg);
 
-  // The last arm alone, pinned: its diagnostics are the ladder's.
-  BarrierConfig last = cfg;
-  last.race.replay_arm = 3;
-  const BarrierResult last_arm =
-      synthesize_barrier(bench.ccds, {x1 * 10.0 + x2 * 2.0}, last);
-
-  EXPECT_FALSE(runs[0].success);
-  EXPECT_EQ(runs[0].winner_arm, -1);
-  EXPECT_EQ(runs[0].arms_launched, 4);
-  EXPECT_EQ(runs[0].arms_cancelled, 0);
-  EXPECT_FALSE(runs[0].failure_reason.empty());
-  EXPECT_EQ(last_arm.failure_reason,
-            "replayed arm no longer yields a certificate: " +
-                runs[0].failure_reason);
-  EXPECT_EQ(runs[0].max_identity_residual, last_arm.max_identity_residual);
-  EXPECT_EQ(runs[0].min_gram_eigenvalue, last_arm.min_gram_eigenvalue);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
+  ASSERT_TRUE(reference.success) << reference.failure_reason;
+  EXPECT_EQ(reference.winner_candidate, 1);
+  EXPECT_EQ(reference.winner_arm, 2);
+  EXPECT_EQ(reference.winner_arm_desc, "d_p=0/constant/d=2/a=0");
+  EXPECT_EQ(reference.arms_launched, 3);
+  EXPECT_EQ(reference.arms_cancelled, 3);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
     SCOPED_TRACE("width index " + std::to_string(i));
-    expect_same_result(runs[0], runs[i]);
+    expect_same_result(reference, runs[i]);
+  }
+}
+
+TEST(BarrierLadder, WinnerInRescueRungMatchesSerialWalk) {
+  // lambda = 0 cannot certify a system with an equilibrium in its domain
+  // (L_f B vanishes there), so both zero-lambda candidate rungs fail and
+  // the alternating rescue on candidate 0 certifies.
+  const std::vector<std::vector<Polynomial>> candidates = {
+      {Polynomial(2)}, saddle_controller()};
+  BarrierConfig cfg;
+  cfg.degree_schedule = {2};
+  cfg.lambda_attempts = 2;
+  cfg.strategies = {LambdaStrategy::kZero, LambdaStrategy::kAlternating};
+  const BarrierResult reference = serial_reference(toy2(), candidates, cfg);
+  const std::vector<BarrierResult> runs = at_widths(toy2(), candidates, cfg);
+
+  ASSERT_TRUE(reference.success) << reference.failure_reason;
+  EXPECT_EQ(reference.winner_candidate, 0);
+  EXPECT_EQ(reference.strategy_used, LambdaStrategy::kAlternating);
+  EXPECT_GE(reference.winner_arm, 2);  // past the two one-arm kZero rungs
+  EXPECT_GE(reference.attempts, 3);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE("width index " + std::to_string(i));
+    expect_same_result(reference, runs[i]);
+  }
+}
+
+TEST(BarrierLadder, NoFeasibleArmReportsLastArmAtEveryWidth) {
+  // Destabilizing feedback on the pendulum: no degree-2 certificate exists
+  // for either candidate, so every arm of every rung runs to the end and
+  // the report names the last arm of the last rung.
+  const Benchmark bench = make_benchmark(BenchmarkId::kC1);
+  const auto x1 = Polynomial::variable(2, 0);
+  const auto x2 = Polynomial::variable(2, 1);
+  const std::vector<std::vector<Polynomial>> candidates = {
+      {x1 * 10.0 + x2 * 2.0}, {x1 * 10.0 + x1.pow(3) * 2.0}};
+  BarrierConfig cfg;
+  cfg.degree_schedule = {2};
+  cfg.lambda_attempts = 2;
+  cfg.strategies = {LambdaStrategy::kConstant, LambdaStrategy::kLinear};
+  const BarrierResult reference =
+      serial_reference(bench.ccds, candidates, cfg);
+  const std::vector<BarrierResult> runs =
+      at_widths(bench.ccds, candidates, cfg);
+
+  EXPECT_FALSE(reference.success);
+  EXPECT_EQ(reference.winner_arm, -1);
+  EXPECT_EQ(reference.winner_candidate, -1);
+  EXPECT_EQ(reference.attempts, 6);  // three rungs of two one-solve arms
+  EXPECT_EQ(reference.arms_launched, 6);
+  EXPECT_EQ(reference.arms_cancelled, 0);
+  const std::string last = "last arm d_p=1/linear/d=2/a=1: ";
+  EXPECT_EQ(reference.failure_reason.rfind(last, 0), 0u)
+      << reference.failure_reason;
+  EXPECT_GT(reference.failure_reason.size(), last.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE("width index " + std::to_string(i));
+    expect_same_result(reference, runs[i]);
   }
 }
 
 TEST(BarrierLadder, ParentCancelEndsLadderAsPreempted) {
   const Ccds sys = toy2();
   BarrierConfig cfg;
-  cfg.race.strategies = {LambdaStrategy::kConstant, LambdaStrategy::kLinear};
+  cfg.strategies = {LambdaStrategy::kConstant, LambdaStrategy::kLinear};
   JobControl control;
   control.cancel();
   cfg.sdp.control = &control;
   const BarrierResult result = synthesize_barrier(sys, {Polynomial(2)}, cfg);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.winner_arm, -1);
+  EXPECT_EQ(result.winner_candidate, -1);
   EXPECT_EQ(result.arms_launched, 0);
   EXPECT_NE(result.failure_reason.find("preempted"), std::string::npos)
       << result.failure_reason;
 }
 
-TEST(BarrierLadder, ReplayOfWinnerArmEqualsLadder) {
-  const Ccds sys = lightly_damped();
-  const BarrierConfig cfg = grinder_config();
-  const BarrierResult ladder = synthesize_barrier(sys, {Polynomial(2)}, cfg);
-  ASSERT_TRUE(ladder.success) << ladder.failure_reason;
-
-  BarrierConfig replay_cfg = cfg;
-  replay_cfg.race.replay_arm = ladder.winner_arm;
-  set_parallel_threads(1);
-  const BarrierResult replayed =
-      synthesize_barrier(sys, {Polynomial(2)}, replay_cfg);
-  set_parallel_threads(0);
-  ASSERT_TRUE(replayed.success) << replayed.failure_reason;
-  // Bitwise: Polynomial equality is exact coefficient equality.
-  EXPECT_TRUE(replayed.barrier == ladder.barrier);
-  EXPECT_TRUE(replayed.lambda == ladder.lambda);
-  EXPECT_EQ(replayed.degree, ladder.degree);
-  EXPECT_EQ(replayed.strategy_used, ladder.strategy_used);
-  EXPECT_EQ(replayed.accepted_via, ladder.accepted_via);
-  EXPECT_EQ(replayed.winner_arm, ladder.winner_arm);
-  EXPECT_EQ(replayed.winner_arm_desc, ladder.winner_arm_desc);
-  EXPECT_EQ(replayed.max_identity_residual, ladder.max_identity_residual);
-  EXPECT_EQ(replayed.min_gram_eigenvalue, ladder.min_gram_eigenvalue);
-}
-
-TEST(BarrierLadder, ReplayArmOutOfRangeIsRejected) {
-  const Ccds sys = toy2();
-  BarrierConfig cfg;
-  cfg.race.replay_arm = 10000;
-  const BarrierResult result = synthesize_barrier(sys, {Polynomial(2)}, cfg);
-  EXPECT_FALSE(result.success);
-  EXPECT_NE(result.failure_reason.find("replay_arm"), std::string::npos)
-      << result.failure_reason;
-}
-
-TEST(BarrierLadder, ArmGridAndReplayEnterConfigHash) {
-  // The strategy list defines the arm grid and replay_arm picks one arm:
-  // both can change the certificate, so both are part of the cache key.
+TEST(BarrierLadder, StrategyListEntersConfigHash) {
+  // The strategy list defines the arm grid, so it can change the
+  // certificate and is part of the cache key.
   BarrierConfig plain;
-  BarrierConfig grid = plain;
-  grid.race.strategies = {LambdaStrategy::kConstant, LambdaStrategy::kLinear};
-  BarrierConfig replay = grid;
-  replay.race.replay_arm = 3;
-  Fnv1a h_plain, h_grid, h_replay;
+  BarrierConfig rescue = plain;
+  rescue.strategies.push_back(LambdaStrategy::kAlternating);
+  Fnv1a h_plain, h_rescue;
   hash_append(h_plain, plain);
-  hash_append(h_grid, grid);
-  hash_append(h_replay, replay);
-  EXPECT_NE(h_plain.digest(), h_grid.digest());
-  EXPECT_NE(h_grid.digest(), h_replay.digest());
+  hash_append(h_rescue, rescue);
+  EXPECT_NE(h_plain.digest(), h_rescue.digest());
 }
 
 }  // namespace

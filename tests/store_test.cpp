@@ -131,6 +131,38 @@ TEST(StoreSerialize, PolynomialAndPacModelRoundTripProperty) {
   }
 }
 
+TEST(StoreSerialize, BarrierResultRoundTripKeepsLadderProvenance) {
+  // A certificate won by a lower-degree surrogate: the winner's candidate
+  // index must survive the store, or a warm run could not tell which
+  // controller the cached certificate belongs to.
+  BarrierResult b;
+  b.success = true;
+  b.barrier = Polynomial::variable(2, 0) * 2.0 - Polynomial::constant(2, 1.0);
+  b.lambda = Polynomial::constant(2, -1.0);
+  b.degree = 4;
+  b.strategy_used = LambdaStrategy::kAlternating;
+  b.attempts = 37;
+  b.accepted_via = "bmi-b";
+  b.winner_arm = 17;
+  b.winner_candidate = 2;
+  b.winner_arm_desc = "d_p=1/constant/d=4/a=1";
+  b.arms_launched = 18;
+  b.arms_cancelled = 14;
+  BinaryWriter w;
+  write_barrier_result(w, b);
+  BinaryReader r(w.bytes());
+  const BarrierResult back = read_barrier_result(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_TRUE(back.barrier == b.barrier);
+  EXPECT_EQ(back.strategy_used, b.strategy_used);
+  EXPECT_EQ(back.attempts, b.attempts);
+  EXPECT_EQ(back.winner_arm, b.winner_arm);
+  EXPECT_EQ(back.winner_candidate, b.winner_candidate);
+  EXPECT_EQ(back.winner_arm_desc, b.winner_arm_desc);
+  EXPECT_EQ(back.arms_launched, b.arms_launched);
+  EXPECT_EQ(back.arms_cancelled, b.arms_cancelled);
+}
+
 TEST(StoreSerialize, SampleSetRoundTripAndDimCheck) {
   Rng rng(303);
   std::vector<Vec> samples;
