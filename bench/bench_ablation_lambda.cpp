@@ -57,6 +57,7 @@ int main() {
     const Benchmark bench = make_benchmark(c.id);
     for (const auto strategy : strategies) {
       BarrierConfig cfg;
+      cfg.degree_schedule = bench.barrier_degrees;
       cfg.strategies = {strategy};
       Stopwatch sw;
       const BarrierResult r =

@@ -60,6 +60,7 @@ int main() {
         Polynomial::from_coefficients(basis, mm.coefficients);
 
     BarrierConfig bcfg;
+    bcfg.degree_schedule = bench.barrier_degrees;
     bcfg.lambda_attempts = 2;
     const bool ls_ok =
         synthesize_barrier(bench.ccds, {ls.poly}, bcfg).success;

@@ -1,7 +1,7 @@
 // E5 -- google-benchmark micro-benchmarks for the solver kernels backing
 // the pipeline: the scenario minimax fit (scaling in K and in the template
-// size v) and the SOS/SDP stack (scaling in Gram block size), plus the
-// polynomial kernels they are built on.
+// size v), the SOS/SDP stack (scaling in Gram block size), the polynomial
+// kernels they are built on, and the DDPG update of stage 1.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,8 +17,10 @@
 #include "opt/sdp.hpp"
 #include "poly/basis.hpp"
 #include "poly/lie.hpp"
+#include "rl/ddpg.hpp"
 #include "sos/certificate.hpp"
 #include "sos/sos_program.hpp"
+#include "systems/benchmarks.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -351,6 +353,39 @@ BENCHMARK_CAPTURE(BM_SosGramPrune, full, false)
 BENCHMARK_CAPTURE(BM_SosGramPrune, pruned, true)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// ---- DDPG update (src/rl/ddpg.cpp) at C1's shapes: actor 2-20(4)-1,
+// critic 3-64-64-1, 64-sample minibatches. Timed through the public
+// train() on a fixed budget, 5 episodes of at most 80 steps after a
+// 100-step warmup (336 steps, 237 updates); the environment steps cost
+// ~1 ms of the total. `us_per_update` is the fastest iteration's training time over
+// its update count, so one noisy iteration does not move the gate.
+void BM_DdpgUpdate(benchmark::State& state) {
+  const Benchmark bench = make_benchmark(BenchmarkId::kC1);
+  DdpgConfig cfg;
+  cfg.actor_hidden = bench.hidden_layers;
+  cfg.warmup_steps = 100;
+  EnvConfig env_cfg;
+  env_cfg.dt = bench.rl.dt;
+  env_cfg.max_steps = 80;
+  double best = std::numeric_limits<double>::infinity();
+  for (auto _ : state) {
+    Rng rng(2024);
+    ControlEnv env(bench.ccds, env_cfg);
+    DdpgAgent agent(bench.ccds.num_states, bench.ccds.num_controls, cfg, rng);
+    Stopwatch sw;
+    const TrainResult trained = agent.train(env, 5, rng);
+    const double seconds = sw.seconds();
+    std::size_t steps = 0;
+    for (const EpisodeStats& ep : trained.episodes) steps += ep.steps;
+    // train() updates once per step from step `warmup_steps` on.
+    const std::size_t updates = steps + 1 - cfg.warmup_steps;
+    best = std::min(best, seconds * 1e6 / static_cast<double>(updates));
+    benchmark::DoNotOptimize(agent.actor().parameters());
+  }
+  state.counters["us_per_update"] = best;
+}
+BENCHMARK(BM_DdpgUpdate)->Iterations(3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace scs

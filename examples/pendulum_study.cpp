@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
 
   // ---- Barrier certificate for the closed loop under p(x).
   BarrierConfig bcfg;
+  bcfg.degree_schedule = bench.barrier_degrees;
   const BarrierResult barrier =
       synthesize_barrier(bench.ccds, {pac.model.poly}, bcfg);
   if (!barrier.success) {

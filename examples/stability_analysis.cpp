@@ -39,6 +39,7 @@ int main() {
   // ---- (2) Barrier certificate + interval proof of its conditions.
   std::cout << "=== Barrier certificate + interval verification ===\n";
   BarrierConfig bcfg;
+  bcfg.degree_schedule = bench.barrier_degrees;
   const BarrierResult barrier =
       synthesize_barrier(bench.ccds, {controller}, bcfg);
   if (!barrier.success) {

@@ -150,7 +150,9 @@ run_perf() {
   # kernel/pruning rows carry counters the baseline pins: SIMD matmul
   # speedup >= 1.5 and Gram block 15 -> 10 under pruning. The two minimax
   # rows time the dual exchange LP tightly enough that posing it in primal
-  # form again (7x-17x slower) fails them.
+  # form again (7x-17x slower) fails them. BM_DdpgUpdate's µs per update
+  # at C1's shapes fails at 2x its baseline (the per-sample update it
+  # replaced read ~3.5x).
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_obs")
   # bench_serve times a cold submit vs the in-memory warm-hit fast path and
   # self-checks the exactly-one-cold dedupe guarantee; the baseline pins
@@ -164,7 +166,7 @@ run_perf() {
   # re-pins both so the numbers land in the dashboard.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_race")
   ./build/bench/bench_solvers \
-      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$|BM_SosGramPrune/(full|pruned)/4$' \
+      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$|BM_SosGramPrune/(full|pruned)/4$|BM_DdpgUpdate' \
       --benchmark_format=json \
       --benchmark_out="${tmp}/BENCH_solvers.json" \
       --benchmark_out_format=json > /dev/null

@@ -300,6 +300,8 @@ std::vector<Arm> enumerate_arms(
     const std::vector<std::vector<Polynomial>>& candidates) {
   SCS_REQUIRE(!config.strategies.empty(),
               "synthesize_barrier: no lambda strategy configured");
+  SCS_REQUIRE(!config.degree_schedule.empty(),
+              "synthesize_barrier: empty degree schedule");
   std::vector<std::pair<std::size_t, LambdaStrategy>> rungs;
   for (std::size_t c = 0; c < candidates.size(); ++c)
     rungs.emplace_back(c, config.strategies.front());

@@ -36,7 +36,9 @@ enum class LambdaStrategy {
 std::string to_string(LambdaStrategy s);
 
 struct BarrierConfig {
-  std::vector<int> degree_schedule = {2, 4};  // d_B values to attempt
+  /// d_B values to attempt; must not be empty. The pipeline fills in the
+  /// benchmark's own Benchmark::barrier_degrees when left empty.
+  std::vector<int> degree_schedule;
   double rho = 1e-3;        // strict positivity margin in (2)
   double rho_prime = 1e-3;  // strict negativity margin in (3)
   /// Lambda strategies of the arm grid, in ladder order: strategies[0]

@@ -31,59 +31,69 @@ struct Nets {
 };
 
 /// One training step over fresh minibatches of the three condition losses.
-/// Returns the total loss (for monitoring).
+/// Returns the total loss (for monitoring). Each condition is one batched
+/// pass; rows without a violation get a zero output gradient, which adds
+/// nothing, so the gradients are the per-sample loop's.
 double train_step(const Ccds& system, const NnControllerConfig& cfg,
                   Nets& nets, Adam& ctrl_opt, Adam& barrier_opt, Rng& rng) {
+  const std::size_t batch = cfg.batch_per_set;
+  const std::size_t n = system.num_states;
   Vec ctrl_grad(nets.controller.parameter_count(), 0.0);
   Vec barrier_grad(nets.barrier.parameter_count(), 0.0);
   double loss = 0.0;
-  const double inv_b = 1.0 / static_cast<double>(cfg.batch_per_set);
+  const double inv_b = 1.0 / static_cast<double>(batch);
+  Mlp::BatchWorkspace ws;
 
-  // ---- Condition (i): B(x) >= margin on Theta.
-  for (std::size_t s = 0; s < cfg.batch_per_set; ++s) {
-    const Vec x = system.init_set.sample(rng);
-    Mlp::Workspace ws;
-    const double b = nets.barrier.forward(x, ws)[0];
-    const double violation = cfg.margin_init - b;
-    if (violation > 0.0) {
-      loss += violation * inv_b;
-      Vec dy(1, -inv_b);  // d(violation)/db = -1
-      nets.barrier.backward(ws, dy, barrier_grad);
+  // ---- Conditions (i) B(x) >= margin on Theta and (ii) B(x) <= -margin
+  // on X_u; sign is d(violation)/db.
+  auto set_condition = [&](const SemialgebraicSet& set, double margin,
+                           double sign) {
+    Mat x(batch, n);
+    for (std::size_t s = 0; s < batch; ++s) x.set_row(s, set.sample(rng));
+    const Mat& b = nets.barrier.forward_batch(x, ws);
+    Mat dy(batch, 1);
+    for (std::size_t s = 0; s < batch; ++s) {
+      const double violation = margin + sign * b(s, 0);
+      if (violation > 0.0) {
+        loss += violation * inv_b;
+        dy(s, 0) = sign * inv_b;
+      }
     }
-  }
-
-  // ---- Condition (ii): B(x) <= -margin on X_u.
-  for (std::size_t s = 0; s < cfg.batch_per_set; ++s) {
-    const Vec x = system.unsafe_set.sample(rng);
-    Mlp::Workspace ws;
-    const double b = nets.barrier.forward(x, ws)[0];
-    const double violation = b + cfg.margin_unsafe;
-    if (violation > 0.0) {
-      loss += violation * inv_b;
-      Vec dy(1, inv_b);
-      nets.barrier.backward(ws, dy, barrier_grad);
-    }
-  }
+    nets.barrier.backward_batch(ws, dy, barrier_grad.begin());
+  };
+  set_condition(system.init_set, cfg.margin_init, -1.0);
+  set_condition(system.unsafe_set, cfg.margin_unsafe, 1.0);
 
   // ---- Condition (iii): dB/dt >= margin near the zero level set,
   // with dB/dt ~ (B(x + dt f(x,u)) - B(x)) / dt and a Gaussian window
   // w = exp(-(B/band)^2) concentrating the constraint near {B ~ 0}.
-  for (std::size_t s = 0; s < cfg.batch_per_set; ++s) {
-    const Vec x = system.domain.sample(rng);
-    Mlp::Workspace ws_u;
-    Vec u = nets.controller.forward(x, ws_u);
-    Vec u_phys = u;
-    for (auto& v : u_phys) v *= system.control_bound;
-
-    const Vec fx = system.eval_open(x, u_phys);
-    Vec x2 = x;
+  Mat x(batch, n);
+  for (std::size_t s = 0; s < batch; ++s)
+    x.set_row(s, system.domain.sample(rng));
+  Mlp::BatchWorkspace ws_u;
+  const Mat& u = nets.controller.forward_batch(x, ws_u);
+  // Barrier rows 2s and 2s+1 are x2 and x of sample s: the order in which
+  // the per-sample loop backpropagated them.
+  Mat u_phys(batch, system.num_controls);
+  Mat pairs(2 * batch, n);
+  for (std::size_t s = 0; s < batch; ++s) {
+    Vec us = u.row(s);
+    for (auto& v : us) v *= system.control_bound;
+    u_phys.set_row(s, us);
+    const Vec xs = x.row(s);
+    const Vec fx = system.eval_open(xs, us);
+    Vec x2 = xs;
     x2.axpy(cfg.lie_dt, fx);
-
-    Mlp::Workspace ws_b1, ws_b2;
-    const double b1 = nets.barrier.forward(x, ws_b1)[0];
-    const double b2 = nets.barrier.forward(x2, ws_b2)[0];
+    pairs.set_row(2 * s, x2);
+    pairs.set_row(2 * s + 1, xs);
+  }
+  const Mat& b = nets.barrier.forward_batch(pairs, ws);
+  Mat dy(2 * batch, 1);
+  std::vector<bool> active(batch, false);
+  for (std::size_t s = 0; s < batch; ++s) {
+    const double b1 = b(2 * s + 1, 0);
+    const double b2 = b(2 * s, 0);
     const double dbdt = (b2 - b1) / cfg.lie_dt;
-
     const double window = std::exp(-(b1 / cfg.lie_band) * (b1 / cfg.lie_band));
     const double violation = cfg.margin_lie - dbdt;
     if (violation > 0.0 && window > 1e-3) {
@@ -91,29 +101,29 @@ double train_step(const Ccds& system, const NnControllerConfig& cfg,
       loss += violation * w;
       // d(violation)/d(b2) = -1/dt ; d/d(b1) = +1/dt (window treated as
       // a constant weight -- a standard stop-gradient on the gate).
-      Vec dy2(1, -w / cfg.lie_dt);
-      const Vec db2_dx2 = nets.barrier.backward(ws_b2, dy2, barrier_grad);
-      Vec dy1(1, w / cfg.lie_dt);
-      nets.barrier.backward(ws_b1, dy1, barrier_grad);
-      // Controller chain: x2 depends on u through dt * f(x, u).
-      const Mat jac = control_jacobian(system, x, u_phys);
-      Vec du(u.size(), 0.0);
-      for (std::size_t k = 0; k < u.size(); ++k) {
-        double acc = 0.0;
-        for (std::size_t i = 0; i < x.size(); ++i)
-          acc += db2_dx2[i] * cfg.lie_dt * jac(i, k);
-        du[k] = acc * system.control_bound;
-      }
-      nets.controller.backward(ws_u, du, ctrl_grad);
+      dy(2 * s, 0) = -w / cfg.lie_dt;
+      dy(2 * s + 1, 0) = w / cfg.lie_dt;
+      active[s] = true;
     }
   }
+  const Mat& db_dx = nets.barrier.backward_batch(ws, dy, barrier_grad.begin());
+  // Controller chain: x2 depends on u through dt * f(x, u).
+  Mat du(batch, system.num_controls);
+  for (std::size_t s = 0; s < batch; ++s) {
+    if (!active[s]) continue;
+    const Mat jac = control_jacobian(system, x.row(s), u_phys.row(s));
+    const double* db2_dx2 = db_dx.row_ptr(2 * s);
+    for (std::size_t k = 0; k < du.cols(); ++k) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < n; ++i)
+        acc += db2_dx2[i] * cfg.lie_dt * jac(i, k);
+      du(s, k) = acc * system.control_bound;
+    }
+  }
+  nets.controller.backward_batch(ws_u, du, ctrl_grad.begin());
 
-  Vec cp = nets.controller.parameters();
-  ctrl_opt.step(cp, ctrl_grad);
-  nets.controller.set_parameters(cp);
-  Vec bp = nets.barrier.parameters();
-  barrier_opt.step(bp, barrier_grad);
-  nets.barrier.set_parameters(bp);
+  ctrl_opt.step(nets.controller, ctrl_grad);
+  barrier_opt.step(nets.barrier, barrier_grad);
   return loss;
 }
 
@@ -146,6 +156,7 @@ NnControllerResult run_nncontroller(const Ccds& system,
       log_debug("nncontroller: iter ", it + 1, " smoothed loss ", recent_loss);
   }
   result.train_seconds = train_sw.seconds();
+  result.train_loss = recent_loss;
 
   // ---- Stage 2: exhaustive grid verification over Psi.
   Stopwatch verify_sw;

@@ -42,6 +42,7 @@ struct NnControllerResult {
   double train_seconds = 0.0;
   double verify_seconds = 0.0;   // T_n when verified
   double total_seconds = 0.0;
+  double train_loss = 0.0;       // smoothed condition loss after training
   std::uint64_t grid_points = 0; // size of the verification grid (0: skipped)
   std::string barrier_structure;  // e.g. "2-30-1" as in Table 2
   std::string reason;            // failure explanation ("x" cases)

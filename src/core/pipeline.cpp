@@ -429,9 +429,15 @@ SynthesisResult run_synthesis_job(const Benchmark& benchmark,
         ControlEnv env(sys, cfg.env);
         DdpgAgent agent(sys.num_states, sys.num_controls, cfg.ddpg, rng);
         result.dnn_structure = agent.actor().structure_string();
-        agent.train(env, episodes, rng, ctx.control);
-        result.rl_eval =
-            agent.evaluate(env, cfg.eval_episodes, rng, ctx.control);
+        {
+          TraceSpan train_span("rl.train");
+          agent.train(env, episodes, rng, ctx.control);
+        }
+        {
+          TraceSpan evaluate_span("rl.evaluate");
+          result.rl_eval =
+              agent.evaluate(env, cfg.eval_episodes, rng, ctx.control);
+        }
         result.rl_seconds = rl_sw.seconds();
         log_info("pipeline[", benchmark.name, "]: RL done in ",
                  result.rl_seconds, "s, eval safety rate ",

@@ -17,6 +17,16 @@ void add_avx2(double* y, const double* x, std::size_t n);
 void sub_avx2(double* y, const double* x, std::size_t n);
 void scale_avx2(double* y, double s, std::size_t n);
 double dot_avx2(const double* x, const double* y, std::size_t n);
+void dot_rows_avx2(const double* x, std::size_t x_rows, std::size_t x_stride,
+                   const double* w, std::size_t w_rows, std::size_t w_stride,
+                   std::size_t n, double* out, std::size_t out_stride);
+void accumulate_rows_avx2(double* g, std::size_t g_stride, const double* a,
+                          std::size_t a_stride, std::size_t m,
+                          const double* b, std::size_t b_stride,
+                          std::size_t n, std::size_t rows);
+void combine_rows_avx2(const double* a, std::size_t a_stride, std::size_t m,
+                       const double* w, std::size_t w_stride, std::size_t n,
+                       double* out, std::size_t out_stride, std::size_t rows);
 
 }  // namespace detail
 
@@ -140,6 +150,41 @@ double dot_scalar(const double* x, const double* y, std::size_t n) {
 
 #endif  // __ARM_NEON
 
+// The blocked kernels' fallbacks are the plain kernels entry by entry, which
+// is their contract.
+void dot_rows_scalar(const double* x, std::size_t x_rows,
+                     std::size_t x_stride, const double* w,
+                     std::size_t w_rows, std::size_t w_stride, std::size_t n,
+                     double* out, std::size_t out_stride) {
+  for (std::size_t r = 0; r < x_rows; ++r)
+    for (std::size_t i = 0; i < w_rows; ++i)
+      out[r * out_stride + i] =
+          dot_scalar(x + r * x_stride, w + i * w_stride, n);
+}
+
+void accumulate_rows_scalar(double* g, std::size_t g_stride, const double* a,
+                            std::size_t a_stride, std::size_t m,
+                            const double* b, std::size_t b_stride,
+                            std::size_t n, std::size_t rows) {
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t i = 0; i < m; ++i)
+      axpy_scalar(g + i * g_stride, a[r * a_stride + i], b + r * b_stride, n);
+}
+
+void combine_rows_scalar(const double* a, std::size_t a_stride, std::size_t m,
+                         const double* w, std::size_t w_stride, std::size_t n,
+                         double* out, std::size_t out_stride,
+                         std::size_t rows) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* o = out + r * out_stride;
+    for (std::size_t j = 0; j < n; ++j) o[j] = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double ai = a[r * a_stride + i];
+      if (ai != 0.0) axpy_scalar(o, ai, w + i * w_stride, n);
+    }
+  }
+}
+
 }  // namespace
 
 void set_kernel_override(Kernel k) {
@@ -205,6 +250,46 @@ double dot(const double* x, const double* y, std::size_t n) {
   if (use_avx2()) return detail::dot_avx2(x, y, n);
 #endif
   return dot_scalar(x, y, n);
+}
+
+void dot_rows(const double* x, std::size_t x_rows, std::size_t x_stride,
+              const double* w, std::size_t w_rows, std::size_t w_stride,
+              std::size_t n, double* out, std::size_t out_stride) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::dot_rows_avx2(x, x_rows, x_stride, w, w_rows, w_stride, n, out,
+                          out_stride);
+    return;
+  }
+#endif
+  dot_rows_scalar(x, x_rows, x_stride, w, w_rows, w_stride, n, out,
+                  out_stride);
+}
+
+void accumulate_rows(double* g, std::size_t g_stride, const double* a,
+                     std::size_t a_stride, std::size_t m, const double* b,
+                     std::size_t b_stride, std::size_t n, std::size_t rows) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::accumulate_rows_avx2(g, g_stride, a, a_stride, m, b, b_stride, n,
+                                 rows);
+    return;
+  }
+#endif
+  accumulate_rows_scalar(g, g_stride, a, a_stride, m, b, b_stride, n, rows);
+}
+
+void combine_rows(const double* a, std::size_t a_stride, std::size_t m,
+                  const double* w, std::size_t w_stride, std::size_t n,
+                  double* out, std::size_t out_stride, std::size_t rows) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::combine_rows_avx2(a, a_stride, m, w, w_stride, n, out, out_stride,
+                              rows);
+    return;
+  }
+#endif
+  combine_rows_scalar(a, a_stride, m, w, w_stride, n, out, out_stride, rows);
 }
 
 }  // namespace scs::simd

@@ -14,6 +14,17 @@
 //    lane structure with four scalar accumulators, so SCS_SIMD=ON and
 //    SCS_SIMD=OFF builds produce identical bits on every machine.
 //
+// Two blocked kernels serve the batched MLP passes (rows of a matrix are
+// samples). They keep the per-element sequences of the kernels above, so a
+// batched pass gives the bits of the row-at-a-time one:
+//
+//  - `dot_rows` computes a table of `dot`s, each with `dot`'s lanes and
+//    combine order; a block of outputs shares its operand loads.
+//  - `accumulate_rows` adds a sum of outer products row by row, each
+//    element seeing `g + a * b` (multiply, then add) in row order.
+//  - `combine_rows` forms each output row as matvec_t does: from zero, one
+//    `axpy` per nonzero coefficient in order.
+//
 // Dispatch is decided once at startup (__builtin_cpu_supports) and can be
 // overridden per-thread with set_kernel_override for A/B benchmarks and the
 // SIMD-vs-scalar equivalence tests: one binary exercises both paths.
@@ -57,5 +68,25 @@ void scale(double* y, double s, std::size_t n);
 /// lanes combine as (l0 + l1) + (l2 + l3). Deterministic across scalar and
 /// AVX2 paths, but NOT bitwise-equal to a plain serial accumulation.
 double dot(const double* x, const double* y, std::size_t n);
+
+/// out[r * out_stride + i] = dot(x + r * x_stride, w + i * w_stride, n) for
+/// r in [0, x_rows), i in [0, w_rows): each entry bitwise-equal to `dot`.
+void dot_rows(const double* x, std::size_t x_rows, std::size_t x_stride,
+              const double* w, std::size_t w_rows, std::size_t w_stride,
+              std::size_t n, double* out, std::size_t out_stride);
+
+/// g[i * g_stride + j] += a[r * a_stride + i] * b[r * b_stride + j] for
+/// r = 0, 1, ..., rows - 1 in turn, i in [0, m), j in [0, n): the sum of
+/// the rows' outer products, each term a separate multiply and add.
+void accumulate_rows(double* g, std::size_t g_stride, const double* a,
+                     std::size_t a_stride, std::size_t m, const double* b,
+                     std::size_t b_stride, std::size_t n, std::size_t rows);
+
+/// out[r * out_stride + j] = sum of a[r * a_stride + i] * w[i * w_stride + j]
+/// over the i in [0, m) whose coefficient is nonzero, added in increasing i
+/// onto 0.0 (matvec_t per row), for r in [0, rows), j in [0, n).
+void combine_rows(const double* a, std::size_t a_stride, std::size_t m,
+                  const double* w, std::size_t w_stride, std::size_t n,
+                  double* out, std::size_t out_stride, std::size_t rows);
 
 }  // namespace scs::simd

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/mlp.hpp"
 #include "util/check.hpp"
 
 namespace scs {
@@ -13,21 +14,43 @@ Adam::Adam(std::size_t parameter_count, const AdamConfig& config)
   SCS_REQUIRE(config.beta2 >= 0.0 && config.beta2 < 1.0, "Adam: bad beta2");
 }
 
+std::pair<double, double> Adam::advance() {
+  ++t_;
+  return {1.0 - std::pow(config_.beta1, static_cast<double>(t_)),
+          1.0 - std::pow(config_.beta2, static_cast<double>(t_))};
+}
+
+void Adam::update(double* params, const double* grad, std::size_t offset,
+                  std::size_t n, std::pair<double, double> bias_correction) {
+  const double b1 = config_.beta1;
+  const double b2 = config_.beta2;
+  const auto [bc1, bc2] = bias_correction;
+  double* m = m_.begin() + offset;
+  double* v = v_.begin() + offset;
+  for (std::size_t i = 0; i < n; ++i) {
+    m[i] = b1 * m[i] + (1.0 - b1) * grad[i];
+    v[i] = b2 * v[i] + (1.0 - b2) * grad[i] * grad[i];
+    const double mhat = m[i] / bc1;
+    const double vhat = v[i] / bc2;
+    params[i] -= config_.lr * mhat / (std::sqrt(vhat) + config_.eps);
+  }
+}
+
 void Adam::step(Vec& params, const Vec& grad) {
   SCS_REQUIRE(params.size() == m_.size() && grad.size() == m_.size(),
               "Adam::step: size mismatch");
-  ++t_;
-  const double b1 = config_.beta1;
-  const double b2 = config_.beta2;
-  const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    m_[i] = b1 * m_[i] + (1.0 - b1) * grad[i];
-    v_[i] = b2 * v_[i] + (1.0 - b2) * grad[i] * grad[i];
-    const double mhat = m_[i] / bc1;
-    const double vhat = v_[i] / bc2;
-    params[i] -= config_.lr * mhat / (std::sqrt(vhat) + config_.eps);
-  }
+  update(params.begin(), grad.begin(), 0, params.size(), advance());
+}
+
+void Adam::step(Mlp& net, const Vec& grad) {
+  SCS_REQUIRE(net.parameter_count() == m_.size() && grad.size() == m_.size(),
+              "Adam::step: size mismatch");
+  const auto bias_correction = advance();
+  std::size_t offset = 0;
+  net.for_each_parameter_block([&](double* params, std::size_t n) {
+    update(params, grad.begin() + offset, offset, n, bias_correction);
+    offset += n;
+  });
 }
 
 void Adam::reset() {

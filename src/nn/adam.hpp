@@ -1,9 +1,14 @@
-// Adam optimizer over flat parameter vectors (Kingma & Ba).
+// Adam optimizer over flat parameter vectors (Kingma & Ba), or over a
+// network's parameters in place in the same flat order.
 #pragma once
+
+#include <utility>
 
 #include "math/vec.hpp"
 
 namespace scs {
+
+class Mlp;
 
 struct AdamConfig {
   double lr = 1e-3;
@@ -19,11 +24,20 @@ class Adam {
 
   /// One update: params -= lr * mhat / (sqrt(vhat) + eps).
   void step(Vec& params, const Vec& grad);
+  /// The same update on `net`'s parameters in place, `grad` in the flat
+  /// layout of Mlp::parameters().
+  void step(Mlp& net, const Vec& grad);
 
   void reset();
   const AdamConfig& config() const { return config_; }
 
  private:
+  /// Advance the step count; returns the two bias corrections.
+  std::pair<double, double> advance();
+  /// Update n parameters whose moments start at flat index `offset`.
+  void update(double* params, const double* grad, std::size_t offset,
+              std::size_t n, std::pair<double, double> bias_correction);
+
   AdamConfig config_;
   Vec m_;
   Vec v_;

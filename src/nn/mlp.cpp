@@ -1,37 +1,50 @@
 #include "nn/mlp.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
+#include "math/simd.hpp"
 #include "util/check.hpp"
 
 namespace scs {
 
-Vec activate(Activation act, const Vec& pre) {
-  Vec out(pre);
-  switch (act) {
-    case Activation::kIdentity:
-      break;
-    case Activation::kRelu:
-      for (auto& v : out) v = v > 0.0 ? v : 0.0;
-      break;
-    case Activation::kTanh:
-      for (auto& v : out) v = std::tanh(v);
-      break;
-  }
-  return out;
+namespace {
+
+/// p > 0 ? v : +0, without a branch: ReLU signs are unpredictable, and a
+/// mispredicted branch per unit costs more than the unit's arithmetic.
+inline double keep_if_positive(double p, double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  bits &= -static_cast<std::uint64_t>(p > 0.0);
+  std::memcpy(&v, &bits, sizeof bits);
+  return v;
 }
 
-double activation_grad_from_output(Activation act, double post, double pre) {
+void activate_in_place(Activation act, double* v, std::size_t n) {
   switch (act) {
     case Activation::kIdentity:
-      return 1.0;
+      break;
     case Activation::kRelu:
-      return pre > 0.0 ? 1.0 : 0.0;
+      for (std::size_t i = 0; i < n; ++i) v[i] = keep_if_positive(v[i], v[i]);
+      break;
     case Activation::kTanh:
-      return 1.0 - post * post;
+      for (std::size_t i = 0; i < n; ++i) v[i] = std::tanh(v[i]);
+      break;
   }
-  return 1.0;
+}
+
+void ensure_shape(Mat& m, std::size_t rows, std::size_t cols) {
+  if (m.rows() != rows || m.cols() != cols) m = Mat(rows, cols);
+}
+
+}  // namespace
+
+Vec activate(Activation act, const Vec& pre) {
+  Vec out(pre);
+  activate_in_place(act, out.begin(), out.size());
+  return out;
 }
 
 Mlp::Mlp(std::size_t input_dim, const std::vector<std::size_t>& hidden,
@@ -85,16 +98,24 @@ Vec Mlp::forward(const Vec& x) const {
   return h;
 }
 
-Vec Mlp::forward(const Vec& x, Workspace& ws) const {
-  SCS_REQUIRE(!weights_.empty(), "Mlp::forward: uninitialized network");
-  ws.pre.assign(weights_.size(), Vec());
-  ws.post.assign(weights_.size() + 1, Vec());
+const Mat& Mlp::forward_batch(const Mat& x, BatchWorkspace& ws) const {
+  SCS_REQUIRE(!weights_.empty(), "Mlp::forward_batch: uninitialized network");
+  SCS_REQUIRE(x.cols() == input_dim(),
+              "Mlp::forward_batch: input width mismatch");
+  const std::size_t rows = x.rows();
+  ws.post.resize(weights_.size() + 1);
   ws.post[0] = x;
   for (std::size_t k = 0; k < weights_.size(); ++k) {
-    Vec pre = matvec(weights_[k], ws.post[k]);
-    pre += biases_[k];
-    ws.post[k + 1] = activate(acts_[k], pre);
-    ws.pre[k] = std::move(pre);
+    const Mat& w = weights_[k];
+    const Mat& in = ws.post[k];
+    Mat& out = ws.post[k + 1];
+    ensure_shape(out, rows, w.rows());
+    // matvec's dot per (row, unit), then the bias, then the activation.
+    simd::dot_rows(in.row_ptr(0), rows, in.cols(), w.row_ptr(0), w.rows(),
+                   w.cols(), w.cols(), out.row_ptr(0), out.cols());
+    for (std::size_t r = 0; r < rows; ++r)
+      simd::add(out.row_ptr(r), biases_[k].begin(), out.cols());
+    activate_in_place(acts_[k], out.row_ptr(0), rows * out.cols());
   }
   return ws.post.back();
 }
@@ -132,54 +153,73 @@ void Mlp::set_parameters(const Vec& flat) {
   }
 }
 
-Vec Mlp::backward(const Workspace& ws, const Vec& dloss_dy, Vec& grad) const {
-  SCS_REQUIRE(grad.size() == parameter_count(),
-              "Mlp::backward: gradient buffer size mismatch");
-  SCS_REQUIRE(ws.post.size() == weights_.size() + 1,
-              "Mlp::backward: workspace does not match this network");
-  SCS_REQUIRE(dloss_dy.size() == output_dim(),
-              "Mlp::backward: output gradient size mismatch");
+const Mat& Mlp::backward_batch(BatchWorkspace& ws, const Mat& dy,
+                               double* grad) const {
+  const std::size_t layers = weights_.size();
+  SCS_REQUIRE(ws.post.size() == layers + 1 && ws.post[0].cols() == input_dim(),
+              "Mlp::backward_batch: workspace does not match this network");
+  const std::size_t rows = ws.post[0].rows();
+  for (std::size_t k = 0; k < layers; ++k)
+    SCS_REQUIRE(ws.post[k + 1].rows() == rows &&
+                    ws.post[k + 1].cols() == weights_[k].rows(),
+                "Mlp::backward_batch: workspace does not match this network");
+  SCS_REQUIRE(dy.rows() == rows && dy.cols() == output_dim(),
+              "Mlp::backward_batch: output gradient shape mismatch");
 
-  // Precompute each layer's flat offset.
-  std::vector<std::size_t> offsets(weights_.size());
-  std::size_t pos = 0;
-  for (std::size_t k = 0; k < weights_.size(); ++k) {
-    offsets[k] = pos;
-    pos += weights_[k].rows() * weights_[k].cols() + biases_[k].size();
-  }
-
-  Vec delta = dloss_dy;  // dL/d(post of current layer)
-  for (std::size_t kk = weights_.size(); kk-- > 0;) {
+  ws.delta.resize(layers + 1);
+  ws.delta[layers] = dy;
+  std::size_t offset = parameter_count();
+  for (std::size_t kk = layers; kk-- > 0;) {
     const Mat& w = weights_[kk];
-    const Vec& input = ws.post[kk];
-    const Vec& pre = ws.pre[kk];
-    const Vec& post = ws.post[kk + 1];
-    // dL/d(pre) = delta .* act'(pre).
-    Vec dpre(delta.size());
-    for (std::size_t i = 0; i < delta.size(); ++i)
-      dpre[i] =
-          delta[i] * activation_grad_from_output(acts_[kk], post[i], pre[i]);
-    // Accumulate dL/dW = dpre * input^T and dL/db = dpre.
-    std::size_t p = offsets[kk];
-    for (std::size_t i = 0; i < w.rows(); ++i) {
-      const double di = dpre[i];
-      for (std::size_t j = 0; j < w.cols(); ++j) grad[p++] += di * input[j];
+    const std::size_t n_out = w.rows();
+    const std::size_t n_in = w.cols();
+    const Mat& input = ws.post[kk];
+    const Mat& post = ws.post[kk + 1];
+    // dL/d(pre) = delta .* act'(pre), in place; act' is read off the
+    // output (post > 0 exactly where pre > 0 for ReLU).
+    Mat& dpre = ws.delta[kk + 1];
+    double* d = dpre.row_ptr(0);
+    const double* p = post.row_ptr(0);
+    const std::size_t count = rows * n_out;
+    if (acts_[kk] == Activation::kRelu) {
+      for (std::size_t i = 0; i < count; ++i)
+        d[i] *= keep_if_positive(p[i], 1.0);
+    } else if (acts_[kk] == Activation::kTanh) {
+      for (std::size_t i = 0; i < count; ++i) d[i] *= 1.0 - p[i] * p[i];
     }
-    for (std::size_t i = 0; i < dpre.size(); ++i) grad[p++] += dpre[i];
-    // dL/d(input) = W^T dpre.
-    delta = matvec_t(w, dpre);
+    offset -= n_out * n_in + n_out;
+    if (grad != nullptr) {
+      // dL/dW += dpre^T input and dL/db += dpre, sample by sample.
+      double* gw = grad + offset;
+      simd::accumulate_rows(gw, n_in, d, n_out, n_out, input.row_ptr(0),
+                            n_in, n_in, rows);
+      for (std::size_t r = 0; r < rows; ++r)
+        simd::add(gw + n_out * n_in, dpre.row_ptr(r), n_out);
+    }
+    // dL/d(input) = dpre W per row: matvec_t's sum, zero terms skipped.
+    Mat& din = ws.delta[kk];
+    ensure_shape(din, rows, n_in);
+    simd::combine_rows(d, n_out, n_out, w.row_ptr(0), n_in, n_in,
+                       din.row_ptr(0), n_in, rows);
   }
-  return delta;
+  return ws.delta[0];
 }
 
 void Mlp::soft_update_from(const Mlp& other, double tau) {
-  SCS_REQUIRE(parameter_count() == other.parameter_count(),
-              "Mlp::soft_update_from: architecture mismatch");
-  Vec mine = parameters();
-  const Vec theirs = other.parameters();
-  for (std::size_t i = 0; i < mine.size(); ++i)
-    mine[i] = tau * theirs[i] + (1.0 - tau) * mine[i];
-  set_parameters(mine);
+  bool same = weights_.size() == other.weights_.size();
+  for (std::size_t k = 0; same && k < weights_.size(); ++k)
+    same = weights_[k].rows() == other.weights_[k].rows() &&
+           weights_[k].cols() == other.weights_[k].cols();
+  SCS_REQUIRE(same, "Mlp::soft_update_from: architecture mismatch");
+  auto track = [tau](double* mine, const double* theirs, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i)
+      mine[i] = tau * theirs[i] + (1.0 - tau) * mine[i];
+  };
+  for (std::size_t k = 0; k < weights_.size(); ++k) {
+    track(weights_[k].row_ptr(0), other.weights_[k].row_ptr(0),
+          weights_[k].rows() * weights_[k].cols());
+    track(biases_[k].begin(), other.biases_[k].begin(), biases_[k].size());
+  }
 }
 
 void Mlp::scale_output_layer(double factor) {

@@ -4,9 +4,9 @@
 // "n-30(5)-1" style ReLU networks with tanh output (as in Table 2); the DDPG
 // critic reuses the same class with an identity output.
 //
-// Parameters can be flattened to a single Vec (layer-major: W row-major,
-// then b), which is what the Adam optimizer and the DDPG soft target
-// updates operate on.
+// Training passes are batched: rows of a Mat are samples (forward_batch /
+// backward_batch). Gradients use the flat parameter layout (layer-major: W
+// row-major, then b), which the Adam optimizer walks in place.
 #pragma once
 
 #include <vector>
@@ -21,8 +21,6 @@ enum class Activation { kIdentity, kRelu, kTanh };
 
 /// Apply an activation elementwise.
 Vec activate(Activation act, const Vec& pre);
-/// Derivative of the activation given its *output* value.
-double activation_grad_from_output(Activation act, double post, double pre);
 
 class Mlp {
  public:
@@ -42,19 +40,24 @@ class Mlp {
   /// Plain forward pass.
   Vec forward(const Vec& x) const;
 
-  /// Cached activations from a forward pass, needed by backward().
-  struct Workspace {
-    std::vector<Vec> pre;   // pre-activation per layer
-    std::vector<Vec> post;  // post[0] is the input; post[k+1] = layer k output
+  /// Layer outputs of a forward_batch() pass, kept for backward_batch().
+  /// Rows are samples. Sized on first use; reused while the shape holds.
+  struct BatchWorkspace {
+    std::vector<Mat> post;   // post[0]: the input rows; post[k+1]: layer k
+    std::vector<Mat> delta;  // backward: delta[k] = dL/d(post[k])
   };
 
-  /// Forward pass that records the workspace.
-  Vec forward(const Vec& x, Workspace& ws) const;
+  /// Forward pass over the rows of `x`; returns the output rows (held in
+  /// `ws`). Each row gets the bits forward() gives it.
+  const Mat& forward_batch(const Mat& x, BatchWorkspace& ws) const;
 
-  /// Backpropagate dL/dy through the recorded pass. Accumulates parameter
-  /// gradients into `grad` (flattened layout, must be parameter_count()
-  /// long) and returns dL/dx.
-  Vec backward(const Workspace& ws, const Vec& dloss_dy, Vec& grad) const;
+  /// Backpropagate the output-gradient rows `dy` through the pass recorded
+  /// in `ws`; returns dL/dx per row (held in `ws`). Unless `grad` is null,
+  /// adds the parameter gradients to it (flattened layout,
+  /// parameter_count() long), row by row: each element gets the additions
+  /// of a per-row loop over the samples in order.
+  const Mat& backward_batch(BatchWorkspace& ws, const Mat& dy,
+                            double* grad) const;
 
   /// Number of scalar parameters.
   std::size_t parameter_count() const;
@@ -62,6 +65,16 @@ class Mlp {
   /// Flattened parameters (layer-major; W row-major, then b).
   Vec parameters() const;
   void set_parameters(const Vec& flat);
+
+  /// Visit the parameters in place as contiguous blocks, in the flat order
+  /// of parameters(): f(data, count) for W_0, b_0, W_1, b_1, ...
+  template <class F>
+  void for_each_parameter_block(F&& f) {
+    for (std::size_t k = 0; k < weights_.size(); ++k) {
+      f(weights_[k].row_ptr(0), weights_[k].rows() * weights_[k].cols());
+      f(biases_[k].begin(), biases_[k].size());
+    }
+  }
 
   /// Soft update toward another net: theta <- tau * other + (1-tau) * theta.
   /// Architectures must match.

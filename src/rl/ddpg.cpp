@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "math/simd.hpp"
+#include "obs/metrics.hpp"
 #include "util/cancellation.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -24,7 +26,15 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
       actor_opt_(actor_.parameter_count(), {.lr = config.actor_lr}),
       critic_opt_(critic_.parameter_count(), {.lr = config.critic_lr}),
       buffer_(config.buffer_capacity),
-      noise_(action_dim, config.noise_theta, config.noise_sigma) {
+      noise_(action_dim, config.noise_theta, config.noise_sigma),
+      state_(config.batch_size, state_dim),
+      state_action_(config.batch_size, state_dim + action_dim),
+      next_state_(config.batch_size, state_dim),
+      next_state_action_(config.batch_size, state_dim + action_dim),
+      dq_(config.batch_size, 1),
+      da_(config.batch_size, action_dim),
+      actor_grad_(actor_.parameter_count()),
+      critic_grad_(critic_.parameter_count()) {
   SCS_REQUIRE(state_dim > 0 && action_dim > 0, "DdpgAgent: bad dimensions");
   SCS_REQUIRE(config.gamma > 0.0 && config.gamma < 1.0,
               "DdpgAgent: gamma must be in (0,1)");
@@ -39,60 +49,79 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
 
 Vec DdpgAgent::act(const Vec& state) const { return actor_.forward(state); }
 
+// One minibatch step on whole-batch row passes. Every parameter gets the
+// bits of a loop over the samples one at a time: forward_batch and
+// backward_batch keep the per-row sequences, the gradients sum the rows in
+// batch order, and the per-element expressions below are the per-sample
+// ones.
 void DdpgAgent::update_networks(Rng& rng) {
   if (buffer_.size() < config_.batch_size) return;
   const auto batch = buffer_.sample(config_.batch_size, rng);
+  const std::size_t n = state_dim_;
+  const std::size_t m = action_dim_;
   const double inv_n = 1.0 / static_cast<double>(batch.size());
+  for (std::size_t r = 0; r < batch.size(); ++r) {
+    const Transition& t = *batch[r];
+    std::copy(t.state.begin(), t.state.end(), state_.row_ptr(r));
+    std::copy(t.state.begin(), t.state.end(), state_action_.row_ptr(r));
+    std::copy(t.action.begin(), t.action.end(), state_action_.row_ptr(r) + n);
+    std::copy(t.next_state.begin(), t.next_state.end(), next_state_.row_ptr(r));
+    std::copy(t.next_state.begin(), t.next_state.end(),
+              next_state_action_.row_ptr(r));
+  }
 
   // ---- Critic update: minimize (5), the TD error against the targets.
-  Vec critic_grad(critic_.parameter_count(), 0.0);
-  for (const Transition* t : batch) {
-    double y = t->reward;
-    if (!t->done) {
-      const Vec a2 = actor_target_.forward(t->next_state);
-      const Vec q2 = critic_target_.forward(concat(t->next_state, a2));
-      y += config_.gamma * q2[0];
-    }
-    Mlp::Workspace ws;
-    const Vec q = critic_.forward(concat(t->state, t->action), ws);
-    // d/dq of (y - q)^2 / N = -2 (y - q) / N.
-    Vec dq(1, -2.0 * (y - q[0]) * inv_n);
-    critic_.backward(ws, dq, critic_grad);
+  // The target passes run on every row; terminal rows ignore theirs.
+  const Mat& a2 = actor_target_.forward_batch(next_state_, actor_ws_);
+  for (std::size_t r = 0; r < batch.size(); ++r)
+    std::copy(a2.row_ptr(r), a2.row_ptr(r) + m,
+              next_state_action_.row_ptr(r) + n);
+  const Mat& q2 = critic_target_.forward_batch(next_state_action_, critic_ws_);
+  for (std::size_t r = 0; r < batch.size(); ++r) {  // dq_ holds y for now
+    double y = batch[r]->reward;
+    if (!batch[r]->done) y += config_.gamma * q2(r, 0);
+    dq_(r, 0) = y;
   }
-  Vec critic_params = critic_.parameters();
-  critic_opt_.step(critic_params, critic_grad);
-  critic_.set_parameters(critic_params);
+  const Mat& q = critic_.forward_batch(state_action_, critic_ws_);
+  // d/dq of (y - q)^2 / N = -2 (y - q) / N.
+  for (std::size_t r = 0; r < batch.size(); ++r)
+    dq_(r, 0) = -2.0 * (dq_(r, 0) - q(r, 0)) * inv_n;
+  critic_grad_.fill(0.0);
+  critic_.backward_batch(critic_ws_, dq_, critic_grad_.begin());
+  critic_opt_.step(critic_, critic_grad_);
 
   // ---- Actor update: ascend Q(x, actor(x)), i.e. minimize (6).
-  Vec actor_grad(actor_.parameter_count(), 0.0);
-  for (const Transition* t : batch) {
-    Mlp::Workspace actor_ws;
-    const Vec a = actor_.forward(t->state, actor_ws);
-    Mlp::Workspace critic_ws;
-    critic_.forward(concat(t->state, a), critic_ws);
-    // dJ/dq = -1/N  (J = -mean Q).
-    Vec dq(1, -inv_n);
-    Vec scratch(critic_.parameter_count(), 0.0);
-    const Vec dinput = critic_.backward(critic_ws, dq, scratch);
-    // Slice dJ/da from the critic's input gradient, then apply inverting
-    // gradients (Hausknecht & Stone): attenuate the component that pushes an
-    // action toward its bound proportionally to the remaining headroom, so
-    // the tanh actor never drives itself into saturation.
-    Vec da(action_dim_);
-    for (std::size_t i = 0; i < action_dim_; ++i) {
-      double g = dinput[state_dim_ + i];
-      const double ai = a[i];
+  const Mat& a = actor_.forward_batch(state_, actor_ws_);
+  for (std::size_t r = 0; r < batch.size(); ++r)
+    std::copy(a.row_ptr(r), a.row_ptr(r) + m, state_action_.row_ptr(r) + n);
+  critic_.forward_batch(state_action_, critic_ws_);
+  // dJ/dq = -1/N  (J = -mean Q); only the critic's input gradient is used.
+  for (std::size_t r = 0; r < batch.size(); ++r) dq_(r, 0) = -inv_n;
+  const Mat& dinput = critic_.backward_batch(critic_ws_, dq_, nullptr);
+  // Slice dJ/da from the critic's input gradient, then apply inverting
+  // gradients (Hausknecht & Stone): attenuate the component that pushes an
+  // action toward its bound proportionally to the remaining headroom, so
+  // the tanh actor never drives itself into saturation.
+  for (std::size_t r = 0; r < batch.size(); ++r) {
+    for (std::size_t i = 0; i < m; ++i) {
+      double g = dinput(r, n + i);
+      const double ai = a(r, i);
       // The parameter step moves a along -g.
       g *= (g < 0.0) ? 0.5 * (1.0 - ai) : 0.5 * (1.0 + ai);
-      da[i] = g;
+      da_(r, i) = g;
     }
-    actor_.backward(actor_ws, da, actor_grad);
   }
-  Vec actor_params = actor_.parameters();
-  if (config_.actor_weight_decay > 0.0)
-    actor_grad.axpy(config_.actor_weight_decay, actor_params);
-  actor_opt_.step(actor_params, actor_grad);
-  actor_.set_parameters(actor_params);
+  actor_grad_.fill(0.0);
+  actor_.backward_batch(actor_ws_, da_, actor_grad_.begin());
+  if (config_.actor_weight_decay > 0.0) {
+    std::size_t offset = 0;
+    actor_.for_each_parameter_block([&](double* params, std::size_t count) {
+      simd::axpy(actor_grad_.begin() + offset, config_.actor_weight_decay,
+                 params, count);
+      offset += count;
+    });
+  }
+  actor_opt_.step(actor_, actor_grad_);
   if (config_.actor_weight_norm_cap > 0.0) {
     // Project each layer back into the Frobenius ball (max-norm constraint).
     for (std::size_t k = 0; k < actor_.layer_count(); ++k) {
@@ -106,6 +135,10 @@ void DdpgAgent::update_networks(Rng& rng) {
   // ---- Soft target tracking.
   actor_target_.soft_update_from(actor_, config_.soft_tau);
   critic_target_.soft_update_from(critic_, config_.soft_tau);
+  if (metrics_enabled()) {
+    static Counter& updates = MetricsRegistry::instance().counter("ddpg.updates");
+    updates.add();
+  }
 }
 
 TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng,

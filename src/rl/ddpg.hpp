@@ -113,6 +113,12 @@ class DdpgAgent {
   Adam actor_opt_, critic_opt_;
   ReplayBuffer buffer_;
   OuNoise noise_;
+  // update_networks' minibatch rows and pass buffers, sized once. Critic
+  // inputs are [x | a] rows.
+  Mat state_, state_action_, next_state_, next_state_action_;
+  Mat dq_, da_;
+  Vec actor_grad_, critic_grad_;
+  Mlp::BatchWorkspace actor_ws_, critic_ws_;
 };
 
 }  // namespace scs

@@ -60,6 +60,7 @@ TEST(Barrier, PendulumWithGravityCompensation) {
   const Polynomial controller =
       x1 * 9.875 - x1.pow(3) * 1.56 + x1.pow(5) * 0.056 - x1 - x2 * 2.0;
   BarrierConfig config;
+  config.degree_schedule = bench.barrier_degrees;
   const BarrierResult result =
       synthesize_barrier(bench.ccds, {controller}, config);
   ASSERT_TRUE(result.success) << result.failure_reason;
@@ -79,6 +80,7 @@ TEST(Barrier, InfeasibleForUnsafeController) {
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);
   const Polynomial controller = linear_feedback(2, {10.0, 2.0});
   BarrierConfig config;
+  config.degree_schedule = bench.barrier_degrees;
   config.lambda_attempts = 2;
   const BarrierResult result =
       synthesize_barrier(bench.ccds, {controller}, config);

@@ -259,7 +259,8 @@ TEST(GoldenPipeline, UnstableSystemIsDeterministicallyUnverified) {
   int candidates = 1;
   for (const PacModel& m : r1.pac.per_degree)
     candidates += m.degree != r1.pac.model.degree ? 1 : 0;
-  const std::vector<int>& degrees = cfg.barrier.degree_schedule;
+  // The ladder walks the benchmark's own degree list ({2}).
+  const std::vector<int>& degrees = bench.barrier_degrees;
   const int arms = static_cast<int>(degrees.size()) *
                    cfg.barrier.lambda_attempts * (candidates + 1);
   EXPECT_EQ(r1.barrier.arms_launched, arms);

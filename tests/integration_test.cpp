@@ -40,6 +40,7 @@ TEST(Integration, ObstacleGeometryBarrier) {
   const Ccds sys = obstacle_system();
   // u = 0: the plant contracts to the origin, away from the obstacle.
   BarrierConfig cfg;
+  cfg.degree_schedule = {2, 4};
   const BarrierResult result = synthesize_barrier(sys, {Polynomial(3)}, cfg);
   ASSERT_TRUE(result.success) << result.failure_reason;
   // The certificate separates Theta (positive) from the obstacle (negative).
@@ -103,6 +104,7 @@ TEST(Integration, BarrierCertificateImpliesSimulationSafety) {
   const Polynomial controller =
       -Polynomial::variable(3, 0) * 0.4 - Polynomial::variable(3, 2) * 0.4;
   BarrierConfig cfg;
+  cfg.degree_schedule = bench.barrier_degrees;
   const BarrierResult result =
       synthesize_barrier(bench.ccds, {controller}, cfg);
   ASSERT_TRUE(result.success) << result.failure_reason;
@@ -130,6 +132,7 @@ TEST(Integration, BarrierLevelSetSeparatesReachableTube) {
   const Benchmark bench = make_benchmark(BenchmarkId::kC5);
   Polynomial controller(5);  // u = 0; the cascade is already contracting
   BarrierConfig cfg;
+  cfg.degree_schedule = bench.barrier_degrees;
   const BarrierResult result =
       synthesize_barrier(bench.ccds, {controller}, cfg);
   ASSERT_TRUE(result.success) << result.failure_reason;

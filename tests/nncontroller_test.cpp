@@ -3,6 +3,9 @@
 // pattern for n >= 4.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "baseline/nncontroller.hpp"
 #include "systems/benchmarks.hpp"
 
@@ -39,6 +42,12 @@ TEST(NnController, RunsOnLowDimensionalSystem) {
   const NnControllerResult result = run_nncontroller(sys, fast_config());
   EXPECT_EQ(result.barrier_structure, "2-30-1");
   EXPECT_GT(result.train_seconds, 0.0);
+  // Pinned at the default seed: the batched training passes give the bits
+  // of the per-sample loop they replaced (smoothed loss after training).
+  std::uint64_t loss_bits = 0;
+  std::memcpy(&loss_bits, &result.train_loss, sizeof loss_bits);
+  EXPECT_EQ(loss_bits, 0x3f22d22755974ca1u) << result.train_loss;
+  EXPECT_TRUE(result.verified) << result.reason;
   EXPECT_GT(result.grid_points, 0u);
 }
 

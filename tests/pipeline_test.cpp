@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "barrier/independent_check.hpp"
 #include "core/pipeline.hpp"
+#include "systems/benchmarks.hpp"
 
 namespace scs {
 namespace {
@@ -96,6 +98,25 @@ TEST(Pipeline, FullRlPipelineOnToyIntegrator) {
   } else {
     EXPECT_TRUE(result.validation.passed);
   }
+}
+
+TEST(Pipeline, C3VerifiesThroughTheRealPipeline) {
+  // Every stage for real on Table 2's C3 (n = 3) at the synthesize_cli
+  // --fast budget: DDPG training, the PAC surrogate, the barrier ladder
+  // and validation. The run must end VERIFIED, and the solver-state-free
+  // checker must accept the certificate.
+  const Benchmark bench = make_benchmark(BenchmarkId::kC3);
+  PipelineConfig cfg;
+  cfg.seed = 2024;
+  cfg.fast_mode = true;
+  cfg.store.mode = StoreConfig::Mode::kOff;
+  cfg.pac_fit.max_samples = 50000;
+  const SynthesisResult result = synthesize(bench, cfg);
+  ASSERT_EQ(result.verdict, "VERIFIED")
+      << result.failure_stage << ": " << result.failure_message;
+  const IndependentCheckReport check = independent_check(
+      bench.ccds, result.controller, result.barrier, cfg.barrier.rho);
+  EXPECT_TRUE(check.accepted) << check.detail;
 }
 
 TEST(Pipeline, FastModeCapsSampleCounts) {

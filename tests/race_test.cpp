@@ -278,6 +278,7 @@ TEST(BarrierLadder, NoFeasibleArmReportsLastArmAtEveryWidth) {
 TEST(BarrierLadder, ParentCancelEndsLadderAsPreempted) {
   const Ccds sys = toy2();
   BarrierConfig cfg;
+  cfg.degree_schedule = {2};
   cfg.strategies = {LambdaStrategy::kConstant, LambdaStrategy::kLinear};
   JobControl control;
   control.cancel();

@@ -10,6 +10,7 @@
 // vector kernels, so the same test binary runs everywhere.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -120,6 +121,67 @@ TEST(SimdKernels, DotMatchesDocumentedLaneStructure) {
     const double expected = (lane[0] + lane[1]) + (lane[2] + lane[3]);
     EXPECT_EQ(simd::dot(x.data(), y.data(), n), expected)
         << "lane structure violated at n = " << n;
+  }
+}
+
+TEST(SimdKernels, BlockedKernelsMatchPlainKernels) {
+  // dot_rows / accumulate_rows / combine_rows against dot and axpy entry
+  // by entry, under every kernel this binary has: shapes cover each
+  // register tile and its remainders, strides exceed the used width, and
+  // a third of the combine coefficients are zero (skipped terms).
+  std::vector<simd::Kernel> kernels{simd::Kernel::kScalar};
+  if (simd::avx2_available()) kernels.push_back(simd::Kernel::kAvx2);
+  struct Shape {
+    std::size_t rows, m, n;
+  };
+  const Shape shapes[] = {{1, 1, 1},  {2, 4, 3},   {3, 5, 4},  {5, 7, 9},
+                          {4, 8, 17}, {7, 13, 33}, {64, 3, 64}, {64, 64, 3},
+                          {6, 1, 64}, {9, 20, 2}};
+  Rng rng(6);
+  for (const Shape& sh : shapes) {
+    const std::size_t xs = sh.n + 2, ws = sh.n + 1, as = sh.m + 3;
+    const std::vector<double> x = random_doubles(sh.rows * xs, rng);
+    const std::vector<double> w = random_doubles(sh.m * ws, rng);
+    std::vector<double> a = random_doubles(sh.rows * as, rng);
+    for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0;
+    const std::vector<double> g0 = random_doubles(sh.m * ws, rng);
+    for (const simd::Kernel k : kernels) {
+      KernelGuard guard(k);
+      std::vector<double> dots(sh.rows * sh.m), want_dots(sh.rows * sh.m);
+      simd::dot_rows(x.data(), sh.rows, xs, w.data(), sh.m, ws, sh.n,
+                     dots.data(), sh.m);
+      for (std::size_t r = 0; r < sh.rows; ++r)
+        for (std::size_t i = 0; i < sh.m; ++i)
+          want_dots[r * sh.m + i] =
+              simd::dot(w.data() + i * ws, x.data() + r * xs, sh.n);
+      EXPECT_TRUE(bits_equal(dots, want_dots));
+
+      std::vector<double> g = g0, want_g = g0;
+      simd::accumulate_rows(g.data(), ws, a.data(), as, sh.m, x.data(), xs,
+                            sh.n, sh.rows);
+      for (std::size_t r = 0; r < sh.rows; ++r)
+        for (std::size_t i = 0; i < sh.m; ++i)
+          simd::axpy(want_g.data() + i * ws, a[r * as + i], x.data() + r * xs,
+                     sh.n);
+      EXPECT_TRUE(bits_equal(g, want_g));
+
+      std::vector<double> comb(sh.rows * xs, 7.0), want_comb(sh.rows * xs, 7.0);
+      simd::combine_rows(a.data(), as, sh.m, w.data(), ws, sh.n, comb.data(),
+                         xs, sh.rows);
+      for (std::size_t r = 0; r < sh.rows; ++r) {
+        double* out = want_comb.data() + r * xs;
+        std::fill(out, out + sh.n, 0.0);
+        for (std::size_t i = 0; i < sh.m; ++i)
+          if (a[r * as + i] != 0.0)
+            simd::axpy(out, a[r * as + i], w.data() + i * ws, sh.n);
+      }
+      EXPECT_TRUE(bits_equal(comb, want_comb));
+      if (HasFailure()) {
+        ADD_FAILURE() << "shape " << sh.rows << "x" << sh.m << "x" << sh.n
+                      << " on " << simd::active_kernel_name();
+        return;
+      }
+    }
   }
 }
 
